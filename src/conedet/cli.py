@@ -63,9 +63,15 @@ def _load_json(path: str) -> dict:
 
 
 def _flat_config(path: str) -> quadrature.FlatSphereConfig:
-    raw = _load_json(path)
-    points = [complex(re, im) for re, im in raw["points"]]
-    return quadrature.FlatSphereConfig(points=points, orders=raw["orders"])
+    try:
+        raw = _load_json(path)
+        points = [complex(re, im) for re, im in raw["points"]]
+        orders = [float(b) for b in raw["orders"]]
+    except (OSError, ValueError, TypeError, KeyError) as err:
+        _fail("usage", f"malformed flat-sphere input: {type(err).__name__}: {err}",
+              parameter="--input", code=2)
+    # outside the try: ConfigurationError is a ValueError and must stay "domain"
+    return quadrature.FlatSphereConfig(points=points, orders=orders)
 
 
 def _beta_value(text: str):

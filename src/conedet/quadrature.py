@@ -16,7 +16,9 @@ with a smooth partition of unity into
   condition makes the transformed integrand smooth at w = 0, and
 * the remaining windowed region, integrated in polar coordinates by an
   iterated scheme: adaptive Gauss-Kronrod radially, spectrally convergent
-  periodic trapezoid in the angle.
+  periodic trapezoid in the angle.  The angular means for the radial nodes
+  of one Gauss-Kronrod panel are evaluated together as one array, and each
+  node's row stops doubling on its own test.
 
 All schemes are deterministic for fixed inputs: panel selection uses a
 worst-first heap with sequence-number tie-breaking, and final sums are
@@ -269,6 +271,10 @@ class FlatSphereConfig:
             raise ConfigurationError(f"need at least 3 singular points, got {n}")
         if len(self.orders) != n:
             raise ConfigurationError("points and orders must have equal length")
+        if not all(isfinite(v) for p in self.points for v in (p.real, p.imag)):
+            raise ConfigurationError("every point must be finite")
+        if not all(isfinite(b) for b in self.orders):
+            raise ConfigurationError("every order must be finite")
         if any(b <= -1.0 for b in self.orders):
             raise ConfigurationError("every order must exceed -1")
         if abs(fsum(self.orders) + 2.0) > 1e-12:
@@ -350,40 +356,46 @@ def _patch_term(cfg: FlatSphereConfig, j: int, radius: float, tol: float):
             return cur, err, total_evals, False
 
 
-def _theta_mean(fn, r: float, tol: float, cap: int = 1 << 14):
-    """Mean over theta in [0, 2 pi) by trapezoid doubling (reuses points)."""
+def _theta_means(fn, rs, tol: float, cap: int = 1 << 14):
+    """Mean over theta in [0, 2 pi) of fn(r, theta) for each r in ``rs``.
+
+    Trapezoid doubling that reuses points.  All rows start at 32 points and
+    share the doubled level, but each row keeps its own stopping test, and
+    only rows still refining get new points.  Returns the means, the summed
+    evaluation count and whether every row converged before ``cap``.
+    """
+    col = rs[:, None]
     m = 32
-    vals = fn(r, 2.0 * pi * np.arange(m) / m)
-    mean = float(vals.mean())
-    evals = m
-    while m < cap:
-        new = fn(r, 2.0 * pi * (np.arange(m) + 0.5) / m)
-        evals += m
-        mean2 = 0.5 * (mean + float(new.mean()))
+    means = fn(col, 2.0 * pi * np.arange(m) / m).mean(axis=1)
+    evals = m * len(rs)
+    live = np.arange(len(rs))
+    while m < cap and live.size:
+        new = fn(col[live], 2.0 * pi * (np.arange(m) + 0.5) / m).mean(axis=1)
+        evals += m * live.size
+        means2 = 0.5 * (means[live] + new)
         m *= 2
-        if abs(mean2 - mean) <= tol:
-            return mean2, evals, True
-        mean = mean2
-    return mean, evals, False
+        done = np.abs(means2 - means[live]) <= tol
+        means[live] = means2
+        live = live[~done]
+    return means, evals, live.size == 0
 
 
 def _polar_iterated(fn, r_hi: float, tol: float):
     """integral over the polar rectangle [0, r_hi] x [0, 2 pi) of fn(r, theta) r dr dtheta.
 
-    Outer: adaptive Gauss-Kronrod in r.  Inner: periodic trapezoid mean.
+    Outer: adaptive Gauss-Kronrod in r.  Inner: periodic trapezoid mean,
+    taken for the 15 radial nodes of a panel in one call with ``r`` as a
+    column and ``theta`` as a row; each node's row stops on its own.
     """
     inner_tol = tol / (4.0 * pi * r_hi * r_hi)
     evals = [0]
     inner_ok = [True]
 
     def radial(rs):
-        out = np.empty_like(rs)
-        for i, r in enumerate(rs):
-            mean, n, ok = _theta_mean(fn, float(r), inner_tol)
-            evals[0] += n
-            inner_ok[0] = inner_ok[0] and ok
-            out[i] = 2.0 * pi * r * mean
-        return out
+        means, n, ok = _theta_means(fn, rs, inner_tol)
+        evals[0] += n
+        inner_ok[0] = inner_ok[0] and ok
+        return 2.0 * pi * rs * means
 
     rep = integrate_adaptive(radial, 0.0, r_hi, tol / 2.0, max_panels=600)
     return rep.value, rep.error_estimate + pi * r_hi * r_hi * inner_tol, evals[0], rep.converged and inner_ok[0]
@@ -429,7 +441,8 @@ def flat_sphere_area(cfg: FlatSphereConfig, tol: float = 1e-8) -> QuadratureRepo
     def exterior(r, theta):
         u = r * np.cos(theta)
         v = r * np.sin(theta)
-        t = np.full_like(theta, 1.0 / (r * big_r) if r > 0 else inf)
+        with np.errstate(divide="ignore"):
+            t = np.where(r > 0, 1.0 / (r * big_r), inf)
         wfac = 1.0 - _window(t)
         return pref * wfac * kernels.product_density(u, v, qx, qy, qb)
 
@@ -446,7 +459,7 @@ def flat_sphere_area(cfg: FlatSphereConfig, tol: float = 1e-8) -> QuadratureRepo
     def middle(r, theta):
         x = r * np.cos(theta)
         y = r * np.sin(theta)
-        bracket = _window(np.full_like(theta, r / big_r))
+        bracket = _window(r / big_r)
         for xj, yj, rj in zip(px, py, rad):
             bracket = bracket - _window(np.hypot(x - xj, y - yj) / rj)
         out = np.zeros_like(bracket)

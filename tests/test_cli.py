@@ -168,6 +168,32 @@ class TestValidationAndExitCodes:
         res = runner.invoke(main, ["cbeta", "--beta", "-1.0"])
         assert res.exit_code == 3
 
+    @pytest.mark.parametrize("command", [["det", "flat-sphere"], ["area", "flat-sphere"]])
+    @pytest.mark.parametrize(
+        "text, code, kind",
+        [
+            ('{"points": [[2], [1, 0], [-1, 0]], "orders": [-0.5, -0.75, -0.75]}', 2, "usage"),
+            ('{"orders": [-0.5, -0.75, -0.75]}', 2, "usage"),
+            ('{"points": [[0, 0], [1, 0], [-1, 0]], "orders": ["x", -0.75, -0.75]}', 2, "usage"),
+            ("not json", 2, "usage"),
+            ('{"points": [[0, 0], [1, 0], [-1, 0]], "orders": [NaN, -0.5, -0.5]}', 3, "domain"),
+            ('{"points": [[Infinity, 0], [1, 0], [-1, 0]], "orders": [-0.5, -0.75, -0.75]}',
+             3, "domain"),
+            ('{"points": [[NaN, 1], [1, 0], [-1, 0]], "orders": [-0.5, -0.75, -0.75]}',
+             3, "domain"),
+        ],
+        ids=["short-point", "no-points", "string-order", "not-json",
+             "nan-order", "inf-point", "nan-point"],
+    )
+    def test_malformed_flat_sphere_input(self, runner, tmp_path, command, text, code, kind):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        res = runner.invoke(main, command + ["--input", str(path), "--tol", "1e-6"])
+        assert res.exit_code == code
+        lines = res.stdout.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"]["kind"] == kind
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(

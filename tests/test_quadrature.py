@@ -11,6 +11,7 @@ from conedet import (
     flat_sphere_area_mc,
     integrate_adaptive,
 )
+from conedet import quadrature
 
 
 class TestIntegrateAdaptive:
@@ -98,6 +99,18 @@ class TestFlatSphereConfig:
         radii = SYMMETRIC.patch_radii()
         assert radii == [0.5, 0.5, 0.5]
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_order_rejected(self, bad):
+        with pytest.raises(ConfigurationError, match="finite"):
+            FlatSphereConfig(points=[0, 1, -1], orders=[bad, -0.5, -0.5])
+
+    @pytest.mark.parametrize(
+        "bad", [complex(math.inf, 0), complex(math.nan, 1), complex(0, -math.inf)]
+    )
+    def test_non_finite_point_rejected(self, bad):
+        with pytest.raises(ConfigurationError, match="finite"):
+            FlatSphereConfig(points=[bad, 1, -1], orders=[-0.5, -0.75, -0.75])
+
 
 class TestFlatSphereArea:
     def test_finite_positive(self):
@@ -133,6 +146,83 @@ class TestFlatSphereArea:
         assert flat_sphere_area(rot, 1e-8).value == pytest.approx(
             flat_sphere_area(SYMMETRIC, 1e-8).value, abs=1e-7
         )
+
+
+def _theta_mean_reference(fn, r, tol, cap=1 << 14):
+    """One row at a time: the per-node loop that _theta_means replaced."""
+    m = 32
+    vals = fn(r, 2.0 * math.pi * np.arange(m) / m)
+    mean = float(vals.mean())
+    evals = m
+    while m < cap:
+        new = fn(r, 2.0 * math.pi * (np.arange(m) + 0.5) / m)
+        evals += m
+        mean2 = 0.5 * (mean + float(new.mean()))
+        m *= 2
+        if abs(mean2 - mean) <= tol:
+            return mean2, evals, True
+        mean = mean2
+    return mean, evals, False
+
+
+@pytest.fixture(scope="module")
+def polar_integrands():
+    """The (exterior, middle) integrands of flat_sphere_area(SYMMETRIC, 1e-8)
+    with their radial upper limits and inner tolerances."""
+    captured = []
+    original = quadrature._polar_iterated
+
+    def spy(fn, r_hi, tol):
+        captured.append((fn, r_hi, tol / (4.0 * math.pi * r_hi * r_hi)))
+        return original(fn, r_hi, tol)
+
+    quadrature._polar_iterated = spy
+    try:
+        flat_sphere_area(SYMMETRIC, 1e-8)
+    finally:
+        quadrature._polar_iterated = original
+    return dict(zip(("exterior", "middle"), captured))
+
+
+class TestThetaMeans:
+    """The row-wise angular means equal the one-row loop bit for bit."""
+
+    @pytest.mark.parametrize("region", ["exterior", "middle"])
+    @pytest.mark.parametrize("panel", [(0.0, 1.0), (0.25, 0.5), (0.6, 0.65)])
+    @pytest.mark.parametrize("cap", [1 << 14, 64])
+    def test_matches_one_row_loop(self, polar_integrands, region, panel, cap):
+        fn, r_hi, tol = polar_integrands[region]
+        lo, hi = panel[0] * r_hi, panel[1] * r_hi
+        rs = 0.5 * (lo + hi) + 0.5 * (hi - lo) * quadrature._XGK
+        ref = [_theta_mean_reference(fn, float(r), tol, cap) for r in rs]
+        means, evals, ok = quadrature._theta_means(fn, rs, tol, cap)
+        assert [float(v) for v in means] == [row[0] for row in ref]
+        assert evals == sum(row[1] for row in ref)
+        assert ok == all(row[2] for row in ref)
+
+    def test_rows_stop_on_their_own(self, polar_integrands):
+        # the middle region needs different angular levels at different radii,
+        # and a small cap leaves some rows unconverged
+        fn, r_hi, tol = polar_integrands["middle"]
+        rs = 0.5 * r_hi * (1.0 + quadrature._XGK)
+        counts = {_theta_mean_reference(fn, float(r), tol)[1] for r in rs}
+        assert len(counts) > 1
+        assert not quadrature._theta_means(fn, rs, tol, cap=64)[2]
+        assert quadrature._theta_means(fn, rs, tol)[2]
+
+
+class TestPinnedCounts:
+    """Evaluation counts and values of the per-node loop this scheme replaced."""
+
+    @pytest.mark.parametrize(
+        "tol, evaluations, value",
+        [(1e-6, 294400, 15.324347153496445), (1e-8, 860032, 15.32434715349721)],
+    )
+    def test_symmetric(self, tol, evaluations, value):
+        rep = flat_sphere_area(SYMMETRIC, tol)
+        assert rep.evaluations == evaluations
+        assert rep.value == pytest.approx(value, rel=1e-12)
+        assert rep.converged
 
 
 class TestMonteCarlo:
