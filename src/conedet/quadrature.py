@@ -444,7 +444,8 @@ def flat_sphere_area(cfg: FlatSphereConfig, tol: float = 1e-8) -> QuadratureRepo
         with np.errstate(divide="ignore"):
             t = np.where(r > 0, 1.0 / (r * big_r), inf)
         wfac = 1.0 - _window(t)
-        return pref * wfac * kernels.product_density(u, v, qx, qy, qb)
+        dens = kernels.product_density(u.ravel(), v.ravel(), qx, qy, qb).reshape(u.shape)
+        return pref * wfac * dens
 
     v, e, ne, c = _polar_iterated(exterior, 2.0 / big_r, tol_piece)
     values.append(v)

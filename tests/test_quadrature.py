@@ -11,7 +11,8 @@ from conedet import (
     flat_sphere_area_mc,
     integrate_adaptive,
 )
-from conedet import quadrature
+from conedet import kernels, quadrature
+from conedet.kernels import reference
 
 
 class TestIntegrateAdaptive:
@@ -200,15 +201,32 @@ class TestThetaMeans:
         assert evals == sum(row[1] for row in ref)
         assert ok == all(row[2] for row in ref)
 
-    def test_rows_stop_on_their_own(self, polar_integrands):
+    def test_rows_need_different_levels(self, polar_integrands):
         # the middle region needs different angular levels at different radii,
-        # and a small cap leaves some rows unconverged
+        # so the comparison above covers rows that stop at different levels
         fn, r_hi, tol = polar_integrands["middle"]
         rs = 0.5 * r_hi * (1.0 + quadrature._XGK)
         counts = {_theta_mean_reference(fn, float(r), tol)[1] for r in rs}
         assert len(counts) > 1
-        assert not quadrature._theta_means(fn, rs, tol, cap=64)[2]
-        assert quadrature._theta_means(fn, rs, tol)[2]
+
+
+class TestKernelInput:
+    """The area quadrature hands product_density 1-D sample arrays, which the
+    compiled backend requires."""
+
+    def test_area_passes_flat_arrays(self, monkeypatch):
+        def flat_only(x, y, px, py, orders):
+            assert np.ndim(x) == 1 and np.ndim(y) == 1
+            return reference.product_density(x, y, px, py, orders)
+
+        monkeypatch.setattr(kernels, "product_density", flat_only)
+        assert flat_sphere_area(SYMMETRIC, 1e-6).evaluations == 294400
+
+    @pytest.mark.skipif(kernels.BACKEND != "cython", reason="compiled backend not built")
+    def test_area_with_compiled_backend(self):
+        rep = flat_sphere_area(SYMMETRIC, 1e-6)
+        assert rep.converged
+        assert rep.value == pytest.approx(15.324347153496445, rel=1e-12)
 
 
 class TestPinnedCounts:
