@@ -18,7 +18,7 @@ serves as the convergent-region oracle (zeta_B(s;1,1,1) = zeta_R(s-1)).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import exp, factorial, fsum, log, pi
+from math import exp, factorial, fsum, isfinite, log, pi
 
 import numpy as np
 
@@ -86,9 +86,9 @@ def barnes_J(a: float, tol: float = 1e-12) -> float:
     integral is truncated at X with the exponential tail bounded below
     tol/10 and the remainder integrated adaptively.
     """
-    if a <= 0:
-        raise DomainError(f"J(a) requires a > 0, got {a}")
-    if tol <= 0:
+    if not (isfinite(a) and a > 0):
+        raise DomainError(f"J(a) requires a finite a > 0, got {a}")
+    if not tol > 0:
         raise DomainError("tolerance must be positive")
     scale = max(1.0, a + 1.0 / a)
     x0, coeffs = _bracket_coefficients(a, tol / (20.0 * scale))
@@ -118,8 +118,8 @@ def barnes_J(a: float, tol: float = 1e-12) -> float:
 
 def zprime0_integral(a: float, tol: float = 1e-12) -> float:
     """zeta'_B(0; a, 1, 1) from the J(a) representation; error <= 2 tol."""
-    if a <= 0:
-        raise DomainError(f"requires a > 0, got {a}")
+    if not (isfinite(a) and a > 0):
+        raise DomainError(f"requires a finite a > 0, got {a}")
     g = euler_gamma()
     return fsum(
         [
@@ -172,8 +172,8 @@ def zprime_a0(a, tol: float = 1e-12) -> float:
     """Z'_a(0) = zeta'_B(0;a,1,1) - a zeta'_R(-1) + (a - 1/a) log(2)/12
     - (a - 1)/4 log(2 pi)."""
     av = a.value if isinstance(a, RationalOrder) else float(a)
-    if av <= 0:
-        raise DomainError(f"requires a > 0, got {a}")
+    if not (isfinite(av) and av > 0):
+        raise DomainError(f"requires a finite a > 0, got {a}")
     return fsum(
         [
             zprime0(a, tol),
@@ -190,8 +190,8 @@ def zprime_a0_IR(a: float, tol: float = 1e-12) -> float:
     - a (-gamma/6 - 5/24 + log(2 pi)/4 + zeta'_R(-1)).
     """
     a = float(a)
-    if a <= 0:
-        raise DomainError(f"requires a > 0, got {a}")
+    if not (isfinite(a) and a > 0):
+        raise DomainError(f"requires a finite a > 0, got {a}")
     g = euler_gamma()
     return fsum(
         [

@@ -57,21 +57,38 @@ def _logdet_payload(result, breakdown: bool) -> dict:
     return payload
 
 
-def _load_json(path: str) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
+def _read_input(path: str, what: str, parse):
+    """``parse`` applied to the JSON in ``path``; an unreadable file, bad JSON
+    or a missing or ill-shaped field is a usage error on --input.
+
+    Callers build their config object from the result, outside this call:
+    ConfigurationError is a ValueError and must stay "domain".
+    """
+    try:
+        with open(path) as fh:
+            return parse(json.load(fh))
+    except (OSError, ValueError, TypeError, KeyError) as err:
+        _fail("usage", f"malformed {what} input: {type(err).__name__}: {err}",
+              parameter="--input", code=2)
 
 
 def _flat_config(path: str) -> quadrature.FlatSphereConfig:
-    try:
-        raw = _load_json(path)
-        points = [complex(re, im) for re, im in raw["points"]]
-        orders = [float(b) for b in raw["orders"]]
-    except (OSError, ValueError, TypeError, KeyError) as err:
-        _fail("usage", f"malformed flat-sphere input: {type(err).__name__}: {err}",
-              parameter="--input", code=2)
-    # outside the try: ConfigurationError is a ValueError and must stay "domain"
+    points, orders = _read_input(path, "flat-sphere", lambda raw: (
+        [complex(re, im) for re, im in raw["points"]],
+        [float(b) for b in raw["orders"]],
+    ))
     return quadrature.FlatSphereConfig(points=points, orders=orders)
+
+
+def _hyperbolic_summary(path: str) -> determinants.HyperbolicSummary:
+    orders, phi_consts, liouville = _read_input(path, "hyperbolic", lambda raw: (
+        [float(b) for b in raw["orders"]],
+        [float(c) for c in raw["phi_consts"]],
+        float(raw["liouville_integral"]),
+    ))
+    return determinants.HyperbolicSummary(
+        orders=orders, phi_consts=phi_consts, liouville_integral=liouville
+    )
 
 
 def _beta_value(text: str):
@@ -265,12 +282,7 @@ def det_hyperbolic(input_path, tol, breakdown, timing):
     """Hyperbolic conical sphere from a JSON summary
     {"orders": [...], "phi_consts": [...], "liouville_integral": x}."""
     started = time.perf_counter()
-    raw = _load_json(input_path)
-    summary = determinants.HyperbolicSummary(
-        orders=raw["orders"],
-        phi_consts=raw["phi_consts"],
-        liouville_integral=raw["liouville_integral"],
-    )
+    summary = _hyperbolic_summary(input_path)
     result = determinants.logdet_hyperbolic_sphere(summary, tol)
     _emit(_logdet_payload(result, breakdown), {"tol": tol, "route": "closed-form"}, timing, started)
 

@@ -8,7 +8,7 @@ A cone point of order beta > -1 has total angle 2 pi (beta + 1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import fsum, log
+from math import fsum, isfinite, log
 
 from .barnes import zprime0
 from .constants import zeta_prime_minus1
@@ -33,10 +33,8 @@ _MIN_BETA = -1.0 + 1e-9
 
 def _check_beta(beta: float) -> float:
     beta = float(beta)
-    if beta <= _MIN_BETA:
-        raise DomainError(
-            f"cone order {beta} gives an angle too small: requires beta > -1 + 1e-9"
-        )
+    if not (isfinite(beta) and beta > _MIN_BETA):
+        raise DomainError(f"cone order {beta} must be finite and exceed -1 + 1e-9")
     return beta
 
 

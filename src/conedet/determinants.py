@@ -12,7 +12,7 @@ to the term responsible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import atan, exp, fsum, log, pi, sqrt
+from math import atan, exp, fsum, isfinite, log, pi, sqrt
 
 from .barnes import zprime0, zprime_a0
 from .cone import c_beta
@@ -74,12 +74,14 @@ class SpindleConfig:
     def __post_init__(self):
         if isinstance(self.beta, bool) or not isinstance(self.beta, (int, float)):
             raise ConfigurationError(f"beta must be int or float, got {type(self.beta)!r}")
-        if float(self.beta) <= -1.0 + 1e-9:
-            raise DomainError(f"beta={self.beta} gives an angle too small")
-        if self.mu < 0:
-            raise ConfigurationError(f"mu must be nonnegative, got {self.mu}")
-        if self.curvature <= 0:
-            raise ConfigurationError(f"curvature must be positive, got {self.curvature}")
+        if not (isfinite(self.beta) and self.beta > -1.0 + 1e-9):
+            raise DomainError(f"beta={self.beta} must be finite and exceed -1 + 1e-9")
+        if not (isfinite(self.mu) and self.mu >= 0):
+            raise ConfigurationError(f"mu must be finite and nonnegative, got {self.mu}")
+        if not (isfinite(self.curvature) and self.curvature > 0):
+            raise ConfigurationError(
+                f"curvature must be finite and positive, got {self.curvature}"
+            )
         if self.mu > 0 and not self.integer_order:
             raise ConfigurationError(
                 "admissible two-cone metrics require an integer order when mu > 0 "
@@ -270,10 +272,11 @@ class DiskConfig:
     k: float
 
     def __post_init__(self):
-        if float(self.beta) <= -1.0 + 1e-9:
-            raise DomainError(f"beta={self.beta} gives an angle too small")
-        if float(self.k) <= -1.0 + 1e-9:
-            raise DomainError(f"curvature parameter k={self.k} must exceed -1")
+        beta, k = float(self.beta), float(self.k)
+        if not (isfinite(beta) and beta > -1.0 + 1e-9):
+            raise DomainError(f"beta={self.beta} must be finite and exceed -1 + 1e-9")
+        if not (isfinite(k) and k > -1.0 + 1e-9):
+            raise DomainError(f"curvature parameter k={self.k} must be finite and exceed -1")
 
 
 def logdet_disk(cfg: DiskConfig, tol: float = 1e-12) -> LogDet:
@@ -301,8 +304,8 @@ def logdet_flat_disk(radius: float) -> float:
     """Dirichlet log-determinant of the flat disk of given radius:
     -(1/3) log(radius) + (1/3) log 2 - zeta'_<(0, 0),
     where zeta'_<(0,0) = 2 zeta'_R(-1) + 5/12 + log(2 pi)/2."""
-    if radius <= 0:
-        raise DomainError(f"radius must be positive, got {radius}")
+    if not (isfinite(radius) and radius > 0):
+        raise DomainError(f"radius must be finite and positive, got {radius}")
     zeta_disk0_prime = 2.0 * zeta_prime_minus1() + 5.0 / 12.0 + 0.5 * LOG_2PI
     return -log(radius) / 3.0 + log(2.0) / 3.0 - zeta_disk0_prime
 
@@ -333,6 +336,9 @@ class HyperbolicSummary:
             raise ConfigurationError("need n >= 3 conical singularities")
         if len(self.orders) != len(self.phi_consts):
             raise ConfigurationError("orders and phi_consts must have equal length")
+        values = (*self.orders, *self.phi_consts, self.liouville_integral)
+        if not all(isfinite(v) for v in values):
+            raise ConfigurationError("orders, phi_consts and liouville_integral must be finite")
         if any(b <= -1.0 for b in self.orders):
             raise ConfigurationError("every order must exceed -1")
         if fsum(self.orders) >= -2.0:

@@ -6,8 +6,6 @@ finite-difference recovery of the expansion coefficients at beta = 0.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import exp
 
@@ -73,14 +71,6 @@ class ExtremumReport:
     tolerance_achieved: float
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("CONEDET_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _row_value(target: str, grid: ScanGrid, x: float) -> float:
     if target == "cbeta":
         return c_beta(x)
@@ -100,8 +90,6 @@ def scan_curve(target: str, grid: ScanGrid) -> ScanResult:
     """
     if target not in ("cbeta", "fixed_area_det"):
         raise DomainError(f"unknown scan target {target!r}")
-    xs = grid.values()
-    workers = _worker_count()
 
     def run(x):
         try:
@@ -109,11 +97,7 @@ def scan_curve(target: str, grid: ScanGrid) -> ScanResult:
         except DomainError as err:
             return None, (x, str(err))
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run, xs))
-    else:
-        outcomes = [run(x) for x in xs]
+    outcomes = [run(x) for x in grid.values()]
 
     rows = tuple(r for r, _ in outcomes if r is not None)
     skipped = tuple(s for _, s in outcomes if s is not None)

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from math import fsum, inf, isfinite, log, pi
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from . import kernels
 from .errors import ConfigurationError, ConvergenceError, DomainError
@@ -325,6 +324,9 @@ def _patch_term(cfg: FlatSphereConfig, j: int, radius: float, tol: float):
         * s^(2 b_j + 1) ds dphi.
     Both directions are doubled until the change drops below tol.
     """
+    # imported here, its only use, so that importing conedet never loads SciPy
+    from scipy.special import roots_jacobi
+
     pj = cfg.points[j]
     alpha = 2.0 * cfg.orders[j] + 1.0
     scale = (0.5 * radius) ** (alpha + 1.0)

@@ -119,6 +119,13 @@ class TestJIntegral:
             barnes_J(-1.0)
         with pytest.raises(DomainError):
             barnes_J(1.0, tol=-1e-10)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(DomainError):
+                barnes_J(bad)
+            with pytest.raises(DomainError):
+                zprime0_integral(bad)
+        with pytest.raises(DomainError):
+            barnes_J(1.0, tol=float("nan"))
 
 
 class TestRationalClosedForm:

@@ -1,9 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import conedet
 from conedet.cli import main
 
 
@@ -193,6 +199,121 @@ class TestValidationAndExitCodes:
         lines = res.stdout.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"]["kind"] == kind
+
+
+DOMAIN_ARGS = [
+    ["cbeta", "--beta", "nan"],
+    ["cbeta", "--beta", "inf"],
+    ["cbeta", "--beta", "0.5", "--tol", "nan"],
+    ["det", "spindle", "--beta", "inf"],
+    ["det", "spindle", "--beta", "nan"],
+    ["det", "spindle", "--beta", "0.5", "--mu", "nan"],
+    ["det", "spindle", "--beta", "0.5", "--k", "inf"],
+    ["det", "disk", "--beta", "nan", "--k", "1"],
+    ["det", "disk", "--beta", "0.5", "--k", "inf"],
+    ["det", "spindle-area4pi", "--beta", "nan"],
+    ["distance", "spindle", "--beta", "nan"],
+    ["det", "flat-disk", "--radius", "nan"],
+    ["det", "flat-disk", "--radius", "inf"],
+    ["barnes-zprime0", "--a", "nan"],
+    ["barnes-zprime0", "--a", "inf"],
+    ["zeta0", "--euler", "2", "--orders", "nan", "--closed"],
+]
+
+HYPERBOLIC_INPUTS = [
+    ('{"orders": [-0.8, -0.7, -0.9], "liouville_integral": 1.5}', 2, "usage"),
+    ("not json", 2, "usage"),
+    ("[1, 2]", 2, "usage"),
+    ('{"orders": 5, "phi_consts": [0.1, -0.2, 0.3], "liouville_integral": 1.5}', 2, "usage"),
+    ('{"orders": ["x", -0.7, -0.9], "phi_consts": [0.1, -0.2, 0.3], "liouville_integral": 1.5}',
+     2, "usage"),
+    ('{"orders": [-0.8, -0.7, -0.9], "phi_consts": [0.1, -0.2, 0.3], "liouville_integral": null}',
+     2, "usage"),
+    ('{"orders": [-0.8, NaN, -0.9], "phi_consts": [0.1, -0.2, 0.3], "liouville_integral": 1.5}',
+     3, "domain"),
+    ('{"orders": [-0.8, -0.7, -0.9], "phi_consts": [0.1, NaN, 0.3], "liouville_integral": 1.5}',
+     3, "domain"),
+    ('{"orders": [-0.8, -0.7, -0.9], "phi_consts": [0.1, -0.2, 0.3], '
+     '"liouville_integral": Infinity}', 3, "domain"),
+]
+
+
+def assert_one_json_error(res, code, kind):
+    """Exit ``code``, no traceback, and exactly one stdout line holding a
+    JSON error object of the given kind."""
+    assert isinstance(res.exception, SystemExit), res.exc_info
+    assert res.exit_code == code
+    assert "Traceback" not in res.output
+    lines = res.stdout.splitlines()
+    assert len(lines) == 1
+    obj = json.loads(lines[0])
+    assert isinstance(obj, dict) and set(obj) == {"error"}
+    assert obj["error"]["kind"] == kind
+
+
+class TestExitCodeTable:
+    """Non-finite numbers and malformed input files end in a structured
+    error (usage 2, domain 3), never in a traceback, a "convergence" exit 4,
+    a warning or a NaN payload that is not valid JSON."""
+
+    @pytest.mark.parametrize("args", DOMAIN_ARGS, ids=" ".join)
+    def test_non_finite_arguments(self, runner, args):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = runner.invoke(main, args)
+        assert_one_json_error(res, 3, "domain")
+
+    @pytest.mark.parametrize(
+        "text, code, kind",
+        HYPERBOLIC_INPUTS,
+        ids=["no-phi-consts", "not-json", "list", "scalar-orders", "string-order",
+             "null-liouville", "nan-order", "nan-phi", "inf-liouville"],
+    )
+    def test_malformed_hyperbolic_input(self, runner, tmp_path, text, code, kind):
+        path = tmp_path / "h.json"
+        path.write_text(text)
+        res = runner.invoke(main, ["det", "hyperbolic", "--input", str(path)])
+        assert_one_json_error(res, code, kind)
+
+    def test_unreadable_hyperbolic_input(self, runner, tmp_path):
+        res = runner.invoke(main, ["det", "hyperbolic", "--input", str(tmp_path)])
+        assert_one_json_error(res, 2, "usage")
+
+
+IMPORT_PROBE = """
+import json, sys
+loaded = {}
+import conedet
+loaded["import conedet"] = "scipy" in sys.modules
+import conedet.cli
+loaded["import conedet.cli"] = "scipy" in sys.modules
+for argv in (["cbeta", "--beta", "0.5"], ["scan", "fixed-area"]):
+    conedet.cli.main(argv, standalone_mode=False)
+    loaded[" ".join(argv)] = "scipy" in sys.modules
+cfg = conedet.FlatSphereConfig(points=[0j, 1 + 0j, -1 + 0j], orders=[-2 / 3] * 3)
+conedet.flat_sphere_area(cfg, 1e-6)
+loaded["flat_sphere_area"] = "scipy" in sys.modules
+print(json.dumps(loaded))
+"""
+
+
+def test_scipy_stays_off_the_import_path():
+    """SciPy is loaded by the first flat-sphere area, not by importing the
+    package or running a closed-form command. A fresh interpreter is needed
+    because this test process may already hold SciPy."""
+    src = str(Path(conedet.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=env,
+                          capture_output=True, text=True, check=True)
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert loaded == {
+        "import conedet": False,
+        "import conedet.cli": False,
+        "cbeta --beta 0.5": False,
+        "scan fixed-area": False,
+        "flat_sphere_area": True,
+    }
 
 
 class TestDeterminism:

@@ -23,6 +23,13 @@ LOG2 = math.log(2)
 
 
 class TestCBeta:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite_orders(self, bad):
+        with pytest.raises(DomainError):
+            ConeOrder(beta=bad)
+        with pytest.raises(DomainError):
+            c_beta(bad)
+
     def test_vanishes_at_regular_point(self):
         order = ConeOrder.from_rational(RationalOrder(1, 1))
         assert abs(c_beta(order)) <= 1e-12

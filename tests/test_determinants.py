@@ -60,6 +60,15 @@ class TestSpindleConfig:
         with pytest.raises(ConfigurationError):
             SpindleConfig(beta=1, mu=0.0, curvature=0.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(DomainError):
+            SpindleConfig(beta=bad, mu=0.0, curvature=1.0)
+        with pytest.raises(ConfigurationError):
+            SpindleConfig(beta=1, mu=bad, curvature=1.0)
+        with pytest.raises(ConfigurationError):
+            SpindleConfig(beta=1, mu=0.0, curvature=bad)
+
 
 class TestSpindle:
     def test_round_sphere_value(self, zp):
@@ -292,6 +301,13 @@ class TestDisks:
             logdet_disk(DiskConfig(beta=0.0, k=-1.0))
         with pytest.raises(DomainError):
             logdet_flat_disk(0.0)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(DomainError):
+                logdet_flat_disk(bad)
+            with pytest.raises(DomainError):
+                DiskConfig(beta=bad, k=0.0)
+            with pytest.raises(DomainError):
+                DiskConfig(beta=0.0, k=bad)
 
 
 class TestHyperbolic:
@@ -338,6 +354,19 @@ class TestHyperbolic:
             HyperbolicSummary(
                 orders=(-0.5, -0.6, -0.7), phi_consts=(0.0,) * 3, liouville_integral=0.0
             )
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", ["order", "phi", "liouville"])
+    def test_summary_rejects_non_finite(self, field, bad):
+        orders, phis, liouville = [-0.8, -0.7, -0.9], [0.1, -0.2, 0.3], 1.5
+        if field == "order":
+            orders[1] = bad
+        elif field == "phi":
+            phis[1] = bad
+        else:
+            liouville = bad
+        with pytest.raises(ConfigurationError, match="finite"):
+            HyperbolicSummary(orders=orders, phi_consts=phis, liouville_integral=liouville)
 
 
 class TestPullback:

@@ -77,14 +77,6 @@ class TestScanCurve:
         with pytest.raises(DomainError):
             scan_curve("entropy", grid)
 
-    def test_thread_cap_preserves_results(self, monkeypatch):
-        grid = ScanGrid(param="beta", start=-0.5, stop=1.5, steps=9)
-        serial = scan_curve("cbeta", grid)
-        monkeypatch.setenv("CONEDET_THREADS", "4")
-        threaded = scan_curve("cbeta", grid)
-        assert threaded.rows == serial.rows
-        assert threaded.skipped == serial.skipped
-
 
 class TestFindLocalMax:
     @pytest.mark.parametrize("initial", [-0.3, -0.1, 0.1, 0.3])
