@@ -25,7 +25,7 @@ import numpy as np
 from . import kernels
 from .constants import euler_gamma, zeta_prime_minus1
 from .errors import ConvergenceError, DomainError
-from .quadrature import integrate_adaptive
+from .quadrature import check_tol, integrate_adaptive
 from .special import LOG_2PI, RationalOrder, dedekind_sum, log_gamma, sawtooth
 
 __all__ = [
@@ -88,8 +88,7 @@ def barnes_J(a: float, tol: float = 1e-12) -> float:
     """
     if not (isfinite(a) and a > 0):
         raise DomainError(f"J(a) requires a finite a > 0, got {a}")
-    if not tol > 0:
-        raise DomainError("tolerance must be positive")
+    check_tol(tol)
     scale = max(1.0, a + 1.0 / a)
     x0, coeffs = _bracket_coefficients(a, tol / (20.0 * scale))
 

@@ -3,8 +3,12 @@ with JSON results on stdout, CSV curve emission for the scans, and
 structured error objects with distinct exit codes (usage 2, domain 3,
 convergence 4).
 
-Output is bit-identical across identical invocations; wall-clock timing is
-therefore opt-in via --timing.
+Every JSON command is declared through ``json_command``: its body returns
+``(payload, meta)`` and the decorator prints them as one JSON object, maps
+math errors to exit codes and adds the shared ``--timing`` flag.  Output is
+bit-identical across identical invocations; wall-clock timing is therefore
+opt-in via --timing, which adds ``meta.wall_time_s``.  ``--tol`` is declared
+through ``tol_option``, the one place where the CLI validates a tolerance.
 """
 
 from __future__ import annotations
@@ -26,12 +30,6 @@ EXIT_DOMAIN = 3
 EXIT_CONVERGENCE = 4
 
 
-def _emit(payload: dict, meta: dict, timing: bool, started: float) -> None:
-    if timing:
-        meta = dict(meta, wall_time_s=time.perf_counter() - started)
-    click.echo(json.dumps({"payload": payload, "meta": meta}))
-
-
 def _fail(kind: str, message: str, parameter=None, code: int = EXIT_DOMAIN):
     click.echo(json.dumps({"error": {"kind": kind, "message": message, "parameter": parameter}}))
     sys.exit(code)
@@ -48,6 +46,41 @@ def handle_math_errors(fn):
             _fail("convergence", str(err), code=EXIT_CONVERGENCE)
 
     return wrapper
+
+
+def json_command(fn):
+    """Command body returning ``(payload, meta)`` -> one JSON line on stdout.
+
+    Adds ``--timing`` and maps math errors to exit codes.  Apply it below
+    the command's own options, so that ``--timing`` is listed last.
+    """
+    body = handle_math_errors(fn)
+
+    @click.option("--timing", is_flag=True, help="Add the wall time as meta.wall_time_s.")
+    @wraps(fn)
+    def command(*args, timing, **kwargs):
+        started = time.perf_counter()
+        payload, meta = body(*args, **kwargs)
+        if timing:
+            meta = dict(meta, wall_time_s=time.perf_counter() - started)
+        click.echo(json.dumps({"payload": payload, "meta": meta}))
+
+    return command
+
+
+def tol_option(default: float):
+    """``--tol`` with the given default.  NaN, +-inf and values <= 0 end as a
+    domain error on --tol (exit 3), whether or not the command's route uses
+    the tolerance."""
+
+    def check(ctx, param, value):
+        try:
+            quadrature.check_tol(value)
+        except DomainError as err:
+            _fail("domain", str(err), parameter="--tol")
+        return value
+
+    return click.option("--tol", type=float, default=default, show_default=True, callback=check)
 
 
 def _logdet_payload(result, breakdown: bool) -> dict:
@@ -108,13 +141,11 @@ def main():
 @click.option("--a", "a_real", type=float, default=None, help="Real first period.")
 @click.option("--p", type=int, default=None, help="Numerator of a rational period.")
 @click.option("--q", type=int, default=None, help="Denominator of a rational period.")
-@click.option("--tol", type=float, default=1e-10, show_default=True)
+@tol_option(1e-10)
 @click.option("--cross-check", is_flag=True, help="Evaluate both routes and their difference.")
-@click.option("--timing", is_flag=True)
-@handle_math_errors
-def barnes_zprime0_cmd(a_real, p, q, tol, cross_check, timing):
+@json_command
+def barnes_zprime0_cmd(a_real, p, q, tol, cross_check):
     """zeta'_B(0; a, 1, 1) for a = P/Q (closed form) or real --a (quadrature)."""
-    started = time.perf_counter()
     if (p is None) != (q is None):
         raise click.UsageError("--p and --q must be given together")
     if (a_real is None) == (p is None):
@@ -135,20 +166,18 @@ def barnes_zprime0_cmd(a_real, p, q, tol, cross_check, timing):
             payload["taylor_route"] = (
                 barnes.zprime0_taylor_near1(a_real) if abs(a_real - 1.0) <= 0.25 else None
             )
-    _emit(payload, {"tol": tol, "route": route}, timing, started)
+    return payload, {"tol": tol, "route": route}
 
 
 @main.command("cbeta")
 @click.option("--beta", type=float, required=True)
 @click.option("--p", type=int, default=None, help="Numerator of exact beta + 1.")
 @click.option("--q", type=int, default=None, help="Denominator of exact beta + 1.")
-@click.option("--tol", type=float, default=1e-10, show_default=True)
+@tol_option(1e-10)
 @click.option("--breakdown", is_flag=True)
-@click.option("--timing", is_flag=True)
-@handle_math_errors
-def cbeta_cmd(beta, p, q, tol, breakdown, timing):
+@json_command
+def cbeta_cmd(beta, p, q, tol, breakdown):
     """The per-singularity contribution C(beta)."""
-    started = time.perf_counter()
     if (p is None) != (q is None):
         raise click.UsageError("--p and --q must be given together")
     if p is not None:
@@ -161,7 +190,7 @@ def cbeta_cmd(beta, p, q, tol, breakdown, timing):
     payload = {"value": fsum(parts.values())}
     if breakdown:
         payload["breakdown"] = parts
-    _emit(payload, {"tol": tol, "route": route}, timing, started)
+    return payload, {"tol": tol, "route": route}
 
 
 @main.command("zeta0")
@@ -169,17 +198,15 @@ def cbeta_cmd(beta, p, q, tol, breakdown, timing):
 @click.option("--orders", type=str, default="", help="Comma-separated cone orders.")
 @click.option("--boundary/--closed", default=False)
 @click.option("--a0", "want_a0", is_flag=True, help="Also report the heat-trace constant.")
-@click.option("--timing", is_flag=True)
-@handle_math_errors
-def zeta0_cmd(euler, orders, boundary, want_a0, timing):
+@json_command
+def zeta0_cmd(euler, orders, boundary, want_a0):
     """zeta(0) of the surface Laplacian from topology and cone orders."""
-    started = time.perf_counter()
     parsed = [float(tok) for tok in orders.split(",") if tok.strip()]
     topo = SurfaceTopology(euler_top=euler, orders=parsed, has_boundary=boundary)
     payload = {"value": zeta0_surface(topo)}
     if want_a0:
         payload["heat_trace_a0"] = heat_trace_a0(topo)
-    _emit(payload, {"route": "closed-form"}, timing, started)
+    return payload, {"route": "closed-form"}
 
 
 @main.group("det")
@@ -191,76 +218,66 @@ def det_group():
 @click.option("--beta", type=str, required=True, help="Cone order; plain integers stay exact.")
 @click.option("--mu", type=float, default=0.0, show_default=True)
 @click.option("--k", "--K", "curvature", type=float, default=1.0, show_default=True)
-@click.option("--tol", type=float, default=1e-10, show_default=True)
+@tol_option(1e-10)
 @click.option("--breakdown", is_flag=True)
-@click.option("--timing", is_flag=True)
-@handle_math_errors
-def det_spindle(beta, mu, curvature, tol, breakdown, timing):
+@json_command
+def det_spindle(beta, mu, curvature, tol, breakdown):
     """Constant-positive-curvature sphere with two equal cone points."""
-    started = time.perf_counter()
     cfg = determinants.SpindleConfig(beta=_beta_value(beta), mu=mu, curvature=curvature)
     result = determinants.logdet_spindle(cfg, tol)
-    _emit(_logdet_payload(result, breakdown), {"tol": tol, "route": "closed-form"}, timing, started)
+    return _logdet_payload(result, breakdown), {"tol": tol, "route": "closed-form"}
 
 
 @det_group.command("spindle-area4pi")
 @click.option("--beta", type=str, required=True)
 @click.option("--mu", type=float, default=0.0, show_default=True)
-@click.option("--tol", type=float, default=1e-10, show_default=True)
+@tol_option(1e-10)
 @click.option("--breakdown", is_flag=True)
-@click.option("--timing", is_flag=True)
-@handle_math_errors
-def det_spindle_area4pi(beta, mu, tol, breakdown, timing):
+@json_command
+def det_spindle_area4pi(beta, mu, tol, breakdown):
     """Fixed-area-4pi spindle determinant."""
-    started = time.perf_counter()
     result = determinants.logdet_spindle_area4pi(_beta_value(beta), mu, tol)
-    _emit(_logdet_payload(result, breakdown), {"tol": tol, "route": "closed-form"}, timing, started)
+    return _logdet_payload(result, breakdown), {"tol": tol, "route": "closed-form"}
 
 
 @det_group.command("flat-sphere")
 @click.option("--input", "input_path", type=click.Path(exists=True), required=True)
-@click.option("--tol", type=float, default=1e-8, show_default=True)
+@tol_option(1e-8)
 @click.option("--form", type=click.Choice(["cone", "as"]), default="cone", show_default=True,
               help="Which of the two equivalent singular-term assemblies to use.")
 @click.option("--breakdown", is_flag=True)
-@click.option("--timing", is_flag=True)
-@handle_math_errors
-def det_flat_sphere(input_path, tol, form, breakdown, timing):
+@json_command
+def det_flat_sphere(input_path, tol, form, breakdown):
     """Flat conical metric on the sphere; config from a JSON file."""
-    started = time.perf_counter()
     cfg = _flat_config(input_path)
     fn = determinants.logdet_flat_sphere if form == "cone" else determinants.logdet_flat_sphere_AS
     result = fn(cfg, tol)
-    _emit(_logdet_payload(result, breakdown), {"tol": tol, "route": form}, timing, started)
+    return _logdet_payload(result, breakdown), {"tol": tol, "route": form}
 
 
 @det_group.command("disk")
 @click.option("--beta", type=str, required=True, help="Cone order; plain integers stay exact.")
 @click.option("--k", type=float, required=True)
-@click.option("--tol", type=float, default=1e-10, show_default=True)
+@tol_option(1e-10)
 @click.option("--breakdown", is_flag=True)
-@click.option("--timing", is_flag=True)
-@handle_math_errors
-def det_disk(beta, k, tol, breakdown, timing):
+@json_command
+def det_disk(beta, k, tol, breakdown):
     """Constant-curvature cone disk (Dirichlet).
 
     The disk |z| <= 1 with metric 4|z|^(2 beta)|dz|^2 / (1 + k|z|^(2 beta + 2))^2;
     beta = k = 0 is the flat disk of radius 2.
     """
-    started = time.perf_counter()
     cfg = determinants.DiskConfig(beta=_beta_value(beta), k=k)
     result = determinants.logdet_disk(cfg, tol)
-    _emit(_logdet_payload(result, breakdown), {"tol": tol, "route": "closed-form"}, timing, started)
+    return _logdet_payload(result, breakdown), {"tol": tol, "route": "closed-form"}
 
 
 @det_group.command("flat-disk")
 @click.option("--radius", type=float, required=True)
 @click.option("--breakdown", is_flag=True)
-@click.option("--timing", is_flag=True)
-@handle_math_errors
-def det_flat_disk(radius, breakdown, timing):
+@json_command
+def det_flat_disk(radius, breakdown):
     """Flat disk of the given radius (Dirichlet)."""
-    started = time.perf_counter()
     value = determinants.logdet_flat_disk(radius)
     payload = {"value": value}
     if breakdown:
@@ -269,22 +286,20 @@ def det_flat_disk(radius, breakdown, timing):
             "log_radius": radius_term,
             "constant": value - radius_term,
         }
-    _emit(payload, {"route": "closed-form"}, timing, started)
+    return payload, {"route": "closed-form"}
 
 
 @det_group.command("hyperbolic")
 @click.option("--input", "input_path", type=click.Path(exists=True), required=True)
-@click.option("--tol", type=float, default=1e-10, show_default=True)
+@tol_option(1e-10)
 @click.option("--breakdown", is_flag=True)
-@click.option("--timing", is_flag=True)
-@handle_math_errors
-def det_hyperbolic(input_path, tol, breakdown, timing):
+@json_command
+def det_hyperbolic(input_path, tol, breakdown):
     """Hyperbolic conical sphere from a JSON summary
     {"orders": [...], "phi_consts": [...], "liouville_integral": x}."""
-    started = time.perf_counter()
     summary = _hyperbolic_summary(input_path)
     result = determinants.logdet_hyperbolic_sphere(summary, tol)
-    _emit(_logdet_payload(result, breakdown), {"tol": tol, "route": "closed-form"}, timing, started)
+    return _logdet_payload(result, breakdown), {"tol": tol, "route": "closed-form"}
 
 
 @main.group("area")
@@ -294,14 +309,12 @@ def area_group():
 
 @area_group.command("flat-sphere")
 @click.option("--input", "input_path", type=click.Path(exists=True), required=True)
-@click.option("--tol", type=float, default=1e-8, show_default=True)
+@tol_option(1e-8)
 @click.option("--mc-samples", type=int, default=None, help="Also run the Monte-Carlo oracle.")
 @click.option("--mc-seed", type=int, default=0, show_default=True)
-@click.option("--timing", is_flag=True)
-@handle_math_errors
-def area_flat_sphere(input_path, tol, mc_samples, mc_seed, timing):
+@json_command
+def area_flat_sphere(input_path, tol, mc_samples, mc_seed):
     """Improper plane integral of the flat conical density."""
-    started = time.perf_counter()
     cfg = _flat_config(input_path)
     report = quadrature.flat_sphere_area(cfg, tol)
     if not report.converged:
@@ -317,7 +330,7 @@ def area_flat_sphere(input_path, tol, mc_samples, mc_seed, timing):
         est, stderr = quadrature.flat_sphere_area_mc(cfg, mc_samples, mc_seed)
         payload["mc_estimate"] = est
         payload["mc_stderr"] = stderr
-    _emit(payload, {"tol": tol, "route": "partition-of-unity quadrature"}, timing, started)
+    return payload, {"tol": tol, "route": "partition-of-unity quadrature"}
 
 
 def _write_curve(result, header: str, generated_by: str, out):
@@ -378,14 +391,12 @@ def scan_fixed_area(start, stop, steps, mu, out):
 
 @main.command("find-max")
 @click.option("--initial", type=float, default=0.2, show_default=True)
-@click.option("--tol", type=float, default=1e-8, show_default=True)
-@click.option("--timing", is_flag=True)
-@handle_math_errors
-def find_max_cmd(initial, tol, timing):
+@tol_option(1e-8)
+@json_command
+def find_max_cmd(initial, tol):
     """Locate the fixed-area determinant's interior maximum at mu = 0."""
-    started = time.perf_counter()
     report = extremal.find_local_max(initial, tol)
-    _emit(
+    return (
         {
             "location": report.location,
             "value": report.value,
@@ -393,24 +404,18 @@ def find_max_cmd(initial, tol, timing):
             "tolerance_achieved": report.tolerance_achieved,
         },
         {"tol": tol, "route": report.method},
-        timing,
-        started,
     )
 
 
 @main.command("taylor-check")
 @click.option("--h", "step", type=float, default=1e-3, show_default=True)
-@click.option("--timing", is_flag=True)
-@handle_math_errors
-def taylor_check_cmd(step, timing):
+@json_command
+def taylor_check_cmd(step):
     """Finite-difference expansion coefficients of the fixed-area curve at 0."""
-    started = time.perf_counter()
     c2, c3 = extremal.taylor_check_at_zero(step)
-    _emit(
+    return (
         {"c2": c2, "c3": c3},
         {"h": step, "route": "Richardson-extrapolated central differences"},
-        timing,
-        started,
     )
 
 
@@ -423,18 +428,11 @@ def distance_group():
 @click.option("--beta", type=str, required=True)
 @click.option("--mu", type=float, default=0.0, show_default=True)
 @click.option("--k", "--K", "curvature", type=float, default=1.0, show_default=True)
-@click.option("--timing", is_flag=True)
-@handle_math_errors
-def distance_spindle(beta, mu, curvature, timing):
+@json_command
+def distance_spindle(beta, mu, curvature):
     """Distance between the two cone points of a spindle."""
-    started = time.perf_counter()
     cfg = determinants.SpindleConfig(beta=_beta_value(beta), mu=mu, curvature=curvature)
-    _emit(
-        {"value": determinants.spindle_distance(cfg)},
-        {"route": "closed-form"},
-        timing,
-        started,
-    )
+    return {"value": determinants.spindle_distance(cfg)}, {"route": "closed-form"}
 
 
 if __name__ == "__main__":

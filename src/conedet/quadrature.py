@@ -108,6 +108,12 @@ def _gk15_panel(f, a: float, b: float):
     return resk * h, err
 
 
+def check_tol(tol: float) -> None:
+    """Raise DomainError unless ``tol`` is a finite positive number."""
+    if not (isfinite(tol) and tol > 0):
+        raise DomainError(f"tolerance must be finite and positive, got {tol}")
+
+
 def integrate_adaptive(
     f,
     a: float,
@@ -127,8 +133,7 @@ def integrate_adaptive(
     the integrand bounded there.  Non-convergence is reported through
     ``converged=False``, never as a silently wrong value.
     """
-    if tol <= 0:
-        raise DomainError("tolerance must be positive")
+    check_tol(tol)
     if not a < b:
         raise DomainError(f"empty interval [{a}, {b}]")
     if left_exponent <= -1.0 or right_exponent <= -1.0:
@@ -339,8 +344,7 @@ def _patch_term(cfg: FlatSphereConfig, j: int, radius: float, tol: float):
         ss, pp = np.meshgrid(s, phi, indexing="ij")
         zx = pj.real + ss * np.cos(pp)
         zy = pj.imag + ss * np.sin(pp)
-        vals = _density(cfg, zx.ravel(), zy.ravel(), skip=j).reshape(n_rad, n_ang)
-        ang_mean = vals.mean(axis=1)
+        ang_mean = _density(cfg, zx, zy, skip=j).mean(axis=1)
         return scale * 2.0 * pi * float(w @ (win * ang_mean)), n_rad * n_ang
 
     n_rad, n_ang = 12, 32
@@ -410,8 +414,7 @@ def flat_sphere_area(cfg: FlatSphereConfig, tol: float = 1e-8) -> QuadratureRepo
     radial weight), exterior chart w = 1/z around infinity, and the
     windowed middle region in polar coordinates about the origin.
     """
-    if tol <= 0:
-        raise DomainError("tolerance must be positive")
+    check_tol(tol)
     radii = cfg.patch_radii()
     big_r = cfg.outer_radius()
     n = len(cfg.points)
@@ -446,8 +449,7 @@ def flat_sphere_area(cfg: FlatSphereConfig, tol: float = 1e-8) -> QuadratureRepo
         with np.errstate(divide="ignore"):
             t = np.where(r > 0, 1.0 / (r * big_r), inf)
         wfac = 1.0 - _window(t)
-        dens = kernels.product_density(u.ravel(), v.ravel(), qx, qy, qb).reshape(u.shape)
-        return pref * wfac * dens
+        return pref * wfac * kernels.product_density(u, v, qx, qy, qb)
 
     v, e, ne, c = _polar_iterated(exterior, 2.0 / big_r, tol_piece)
     values.append(v)

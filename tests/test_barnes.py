@@ -124,8 +124,11 @@ class TestJIntegral:
                 barnes_J(bad)
             with pytest.raises(DomainError):
                 zprime0_integral(bad)
-        with pytest.raises(DomainError):
-            barnes_J(1.0, tol=float("nan"))
+        for bad_tol in (float("nan"), float("inf")):
+            with pytest.raises(DomainError, match="tolerance"):
+                barnes_J(1.0, tol=bad_tol)
+            with pytest.raises(DomainError, match="tolerance"):
+                zprime0_integral(1.5, bad_tol)
 
 
 class TestRationalClosedForm:

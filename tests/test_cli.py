@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -6,6 +7,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 
@@ -220,6 +222,20 @@ DOMAIN_ARGS = [
     ["zeta0", "--euler", "2", "--orders", "nan", "--closed"],
 ]
 
+# A tolerance that is not a finite positive number is rejected by --tol itself,
+# also where the command's route never uses it.
+BAD_TOL_ARGS = [
+    ["barnes-zprime0", "--p", "2", "--q", "1", "--tol", "nan"],
+    ["det", "spindle", "--beta", "1", "--tol", "nan"],
+    ["det", "disk", "--beta", "1", "--k", "1", "--tol", "nan"],
+    ["find-max", "--tol", "nan"],
+    ["barnes-zprime0", "--a", "1.5", "--tol", "inf"],
+    ["det", "spindle", "--beta", "1", "--tol", "0"],
+    ["cbeta", "--beta", "0.5", "--tol", "-1"],
+    ["det", "spindle-area4pi", "--beta", "1", "--tol", "inf"],
+]
+DOMAIN_ARGS += BAD_TOL_ARGS
+
 HYPERBOLIC_INPUTS = [
     ('{"orders": [-0.8, -0.7, -0.9], "liouville_integral": 1.5}', 2, "usage"),
     ("not json", 2, "usage"),
@@ -240,7 +256,7 @@ HYPERBOLIC_INPUTS = [
 
 def assert_one_json_error(res, code, kind):
     """Exit ``code``, no traceback, and exactly one stdout line holding a
-    JSON error object of the given kind."""
+    JSON error object of the given kind; returns that error object."""
     assert isinstance(res.exception, SystemExit), res.exc_info
     assert res.exit_code == code
     assert "Traceback" not in res.output
@@ -249,6 +265,7 @@ def assert_one_json_error(res, code, kind):
     obj = json.loads(lines[0])
     assert isinstance(obj, dict) and set(obj) == {"error"}
     assert obj["error"]["kind"] == kind
+    return obj["error"]
 
 
 class TestExitCodeTable:
@@ -262,6 +279,11 @@ class TestExitCodeTable:
             warnings.simplefilter("error")
             res = runner.invoke(main, args)
         assert_one_json_error(res, 3, "domain")
+
+    @pytest.mark.parametrize("args", BAD_TOL_ARGS, ids=" ".join)
+    def test_bad_tolerance_names_the_option(self, runner, args):
+        err = assert_one_json_error(runner.invoke(main, args), 3, "domain")
+        assert err["parameter"] == "--tol"
 
     @pytest.mark.parametrize(
         "text, code, kind",
@@ -278,6 +300,62 @@ class TestExitCodeTable:
     def test_unreadable_hyperbolic_input(self, runner, tmp_path):
         res = runner.invoke(main, ["det", "hyperbolic", "--input", str(tmp_path)])
         assert_one_json_error(res, 2, "usage")
+
+
+# One fast invocation of every JSON command; FLAT and HYP stand for input files.
+TIMED_ARGS = [
+    ["barnes-zprime0", "--p", "3", "--q", "2"],
+    ["cbeta", "--beta", "0.5"],
+    ["zeta0", "--euler", "2", "--orders", "1,1", "--closed"],
+    ["det", "spindle", "--beta", "1"],
+    ["det", "spindle-area4pi", "--beta", "1"],
+    ["det", "flat-sphere", "--input", "FLAT", "--tol", "1e-6"],
+    ["det", "disk", "--beta", "0.5", "--k", "0.3"],
+    ["det", "flat-disk", "--radius", "2"],
+    ["det", "hyperbolic", "--input", "HYP"],
+    ["area", "flat-sphere", "--input", "FLAT", "--tol", "1e-6"],
+    ["find-max", "--tol", "1e-6"],
+    ["taylor-check"],
+    ["distance", "spindle", "--beta", "0"],
+]
+
+
+def _command_path(args):
+    return " ".join(itertools.takewhile(lambda a: not a.startswith("--"), args))
+
+
+def _timed_commands(group, prefix=""):
+    for name, cmd in group.commands.items():
+        path = f"{prefix}{name}"
+        if isinstance(cmd, click.Group):
+            yield from _timed_commands(cmd, path + " ")
+        elif any(param.name == "timing" for param in cmd.params):
+            yield path
+
+
+class TestTiming:
+    """--timing adds a finite, non-negative meta.wall_time_s and changes
+    nothing else; without it the key is absent."""
+
+    @pytest.fixture()
+    def files(self, tmp_path):
+        flat, hyp = tmp_path / "flat.json", tmp_path / "hyp.json"
+        flat.write_text(json.dumps(FLAT_JSON))
+        hyp.write_text(json.dumps(HYP_JSON))
+        return {"FLAT": str(flat), "HYP": str(hyp)}
+
+    def test_every_json_command_is_listed(self):
+        assert sorted(_timed_commands(main)) == sorted(map(_command_path, TIMED_ARGS))
+
+    @pytest.mark.parametrize("args", TIMED_ARGS, ids=_command_path)
+    def test_wall_time_only_with_flag(self, runner, files, args):
+        args = [files.get(a, a) for a in args]
+        plain = json.loads(invoke(runner, args).output)
+        timed = json.loads(invoke(runner, args + ["--timing"]).output)
+        assert "wall_time_s" not in plain["meta"]
+        wall = timed["meta"].pop("wall_time_s")
+        assert isinstance(wall, float) and math.isfinite(wall) and wall >= 0.0
+        assert timed == plain
 
 
 IMPORT_PROBE = """

@@ -3,9 +3,6 @@ import pytest
 
 from conedet import kernels
 from conedet.barnes import _bracket_coefficients
-from conedet.kernels import reference
-
-HAVE_FAST = kernels.BACKEND == "cython"
 
 
 def _density_oracle(x, y, px, py, orders):
@@ -22,60 +19,36 @@ class TestReferenceKernels:
         rng = np.random.default_rng(3)
         x, y = rng.normal(size=200), rng.normal(size=200)
         px, py, orders = [0.0, 1.0, -1.0], [0.0, 0.0, 0.5], [-2 / 3, -0.5, -0.9]
-        got = reference.product_density(x, y, px, py, orders)
+        got = kernels.product_density(x, y, px, py, orders)
+        np.testing.assert_allclose(got, _density_oracle(x, y, px, py, orders), rtol=1e-13)
+
+    def test_product_density_2d_grid(self):
+        # the area quadrature passes (radius x angle) grids
+        rng = np.random.default_rng(5)
+        x, y = rng.normal(size=(15, 64)), rng.normal(size=(15, 64))
+        px, py, orders = [0.0, 1.0, -1.0], [0.0, 0.0, 0.5], [-2 / 3, -0.5, -0.9]
+        got = kernels.product_density(x, y, px, py, orders)
+        assert got.shape == (15, 64)
         np.testing.assert_allclose(got, _density_oracle(x, y, px, py, orders), rtol=1e-13)
 
     def test_product_density_empty_points(self):
-        got = reference.product_density(np.array([1.0, 2.0]), np.array([0.0, 0.0]), [], [], [])
+        got = kernels.product_density(np.array([1.0, 2.0]), np.array([0.0, 0.0]), [], [], [])
         np.testing.assert_array_equal(got, [1.0, 1.0])
 
     def test_product_density_at_singularity(self):
-        got = reference.product_density(
+        got = kernels.product_density(
             np.array([0.0]), np.array([0.0]), [0.0], [0.0], [-0.5]
         )
         assert np.isinf(got[0])
 
     def test_j_bracket_large_x_finite(self):
         x0, coeffs = _bracket_coefficients(0.001, 1e-14)
-        vals = reference.j_bracket(np.array([500.0, 1000.0]), 0.001, x0, coeffs)
+        vals = kernels.j_bracket(np.array([500.0, 1000.0]), 0.001, x0, coeffs)
         assert np.all(np.isfinite(vals))
 
     def test_j_bracket_continuous_at_crossover(self):
         for a in (0.05, 1.0, 20.0):
             x0, coeffs = _bracket_coefficients(a, 1e-15)
-            left = reference.j_bracket(np.array([x0 * (1 - 1e-9)]), a, x0, coeffs)[0]
-            right = reference.j_bracket(np.array([x0 * (1 + 1e-9)]), a, x0, coeffs)[0]
+            left = kernels.j_bracket(np.array([x0 * (1 - 1e-9)]), a, x0, coeffs)[0]
+            right = kernels.j_bracket(np.array([x0 * (1 + 1e-9)]), a, x0, coeffs)[0]
             assert left == pytest.approx(right, rel=1e-7)
-
-
-@pytest.mark.skipif(not HAVE_FAST, reason="compiled backend not built")
-class TestBackendEquivalence:
-    def test_product_density(self):
-        from conedet.kernels import _fast
-
-        rng = np.random.default_rng(11)
-        x, y = rng.normal(size=512), rng.normal(size=512)
-        px, py = [0.2, -1.3, 0.9, 0.0], [0.1, 0.4, -0.7, 0.0]
-        orders = [-0.6, -0.4, -0.7, -0.3]
-        np.testing.assert_allclose(
-            _fast.product_density(x, y, px, py, orders),
-            reference.product_density(x, y, px, py, orders),
-            rtol=5e-14,
-        )
-
-    def test_j_bracket(self):
-        from conedet.kernels import _fast
-
-        for a in (0.01, 0.5, 1.0, 7.0, 300.0):
-            x0, coeffs = _bracket_coefficients(a, 1e-14)
-            x = np.geomspace(x0 / 50.0, 80.0, 400)
-            np.testing.assert_allclose(
-                _fast.j_bracket(x, a, x0, coeffs),
-                reference.j_bracket(x, a, x0, coeffs),
-                rtol=1e-10,  # crossover cancellation amplifies libm ulp differences
-                atol=1e-300,
-            )
-
-    def test_selected_backend_exposed(self):
-        assert kernels.BACKEND in ("cython", "python")
-        assert kernels.product_density is not None

@@ -11,8 +11,7 @@ from conedet import (
     flat_sphere_area_mc,
     integrate_adaptive,
 )
-from conedet import kernels, quadrature
-from conedet.kernels import reference
+from conedet import quadrature
 
 
 class TestIntegrateAdaptive:
@@ -68,6 +67,11 @@ class TestIntegrateAdaptive:
         with pytest.raises(DomainError):
             integrate_adaptive(lambda x: x, 0.0, 1.0, 1e-8, left_exponent=-1.5)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0])
+    def test_rejects_tolerance_not_finite_positive(self, tol):
+        with pytest.raises(DomainError, match="tolerance"):
+            integrate_adaptive(lambda x: x, 0.0, 1.0, tol)
+
     def test_deterministic(self):
         f = lambda x: np.cos(3 * x) * np.exp(-x)
         r1 = integrate_adaptive(f, 0.0, math.inf, 1e-11)
@@ -119,6 +123,11 @@ class TestFlatSphereArea:
         assert rep.converged
         assert rep.value > 0.0
         assert rep.error_estimate <= 1e-8
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-8])
+    def test_rejects_tolerance_not_finite_positive(self, tol):
+        with pytest.raises(DomainError, match="tolerance"):
+            flat_sphere_area(SYMMETRIC, tol)
 
     def test_scaling_law(self):
         # z -> c z multiplies the area by |c|^-2 exactly
@@ -208,25 +217,6 @@ class TestThetaMeans:
         rs = 0.5 * r_hi * (1.0 + quadrature._XGK)
         counts = {_theta_mean_reference(fn, float(r), tol)[1] for r in rs}
         assert len(counts) > 1
-
-
-class TestKernelInput:
-    """The area quadrature hands product_density 1-D sample arrays, which the
-    compiled backend requires."""
-
-    def test_area_passes_flat_arrays(self, monkeypatch):
-        def flat_only(x, y, px, py, orders):
-            assert np.ndim(x) == 1 and np.ndim(y) == 1
-            return reference.product_density(x, y, px, py, orders)
-
-        monkeypatch.setattr(kernels, "product_density", flat_only)
-        assert flat_sphere_area(SYMMETRIC, 1e-6).evaluations == 294400
-
-    @pytest.mark.skipif(kernels.BACKEND != "cython", reason="compiled backend not built")
-    def test_area_with_compiled_backend(self):
-        rep = flat_sphere_area(SYMMETRIC, 1e-6)
-        assert rep.converged
-        assert rep.value == pytest.approx(15.324347153496445, rel=1e-12)
 
 
 class TestPinnedCounts:
