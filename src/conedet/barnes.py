@@ -156,6 +156,15 @@ def zprime0_rational(r: RationalOrder) -> float:
     return fsum(terms)
 
 
+def barnes_tol(a: float, tol: float) -> float:
+    """Tolerance for zeta'_B(0; a, 1, 1) inside a sum held to ``tol``.
+
+    The Barnes term grows like a log a; absolute tolerances finer than its
+    magnitude times eps are unattainable, so the tolerance scales with a.
+    """
+    return tol * max(1.0, a + 1.0 / a)
+
+
 def zprime0(a, tol: float = 1e-12) -> float:
     """zeta'_B(0; a, 1, 1): closed form for RationalOrder, quadrature for floats.
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import fsum, isfinite, log
 
-from .barnes import zprime0
+from .barnes import barnes_tol, zprime0
 from .constants import zeta_prime_minus1
 from .errors import DomainError
 from .special import LOG_2PI, RationalOrder
@@ -103,11 +103,9 @@ def c_beta_parts(order, tol: float = 1e-12) -> dict:
     order = _as_order(order)
     beta = order.beta
     a = beta + 1.0
-    # Barnes term grows like a log a; absolute tolerances finer than its
-    # magnitude times eps are unattainable, so scale with the order
-    tol_b = tol * max(1.0, a + 1.0 / a)
     return {
-        "barnes": 2.0 * zprime0(order.barnes_argument(), tol_b) - 2.0 * zeta_prime_minus1(),
+        "barnes": 2.0 * zprime0(order.barnes_argument(), barnes_tol(a, tol))
+        - 2.0 * zeta_prime_minus1(),
         "log2": -beta * beta / (6.0 * a) * log(2.0),
         "linear": -beta / 12.0,
         "log_angle": 0.5 * log(a),
@@ -141,10 +139,9 @@ def zeta_disk_prime0(beta: float, tol: float = 1e-12) -> float:
     """
     order = _as_order(beta)
     a = order.beta + 1.0
-    tol_b = tol * max(1.0, a + 1.0 / a)
     return fsum(
         [
-            2.0 * zprime0(order.barnes_argument(), tol_b),
+            2.0 * zprime0(order.barnes_argument(), barnes_tol(a, tol)),
             5.0 * a / 12.0,
             0.5 * log(a),
             0.5 * LOG_2PI,

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import atan, exp, fsum, isfinite, log, pi, sqrt
 
-from .barnes import zprime0, zprime_a0
+from .barnes import barnes_tol, zprime0, zprime_a0
 from .cone import c_beta
 from .constants import zeta_prime_minus1
 from .errors import ConfigurationError, ConvergenceError, DomainError
@@ -114,14 +114,11 @@ def logdet_spindle(cfg: SpindleConfig, tol: float = 1e-12) -> LogDet:
     """
     a = float(cfg.beta) + 1.0
     k = cfg.curvature
-    # the Barnes term scales like a log a; an absolute tolerance finer than
-    # its magnitude times eps is unattainable, so scale accordingly
-    tol_b = tol * max(1.0, a + 1.0 / a)
     parts = {
         "angle_area": -(a - 1.0 / a) / 6.0 * log(1.0 + cfg.mu**2 / k),
         "linear": 0.5 * a,
         "cone_scale": -(a + 1.0 / a) / 3.0 * log(a / sqrt(k)),
-        "barnes": -4.0 * zprime0(cfg.barnes_argument(), tol_b),
+        "barnes": -4.0 * zprime0(cfg.barnes_argument(), barnes_tol(a, tol)),
         "curvature_norm": -log(k),
     }
     return LogDet.from_parts(parts)
@@ -138,11 +135,10 @@ def logdet_spindle_area4pi(beta, mu: float = 0.0, tol: float = 1e-12) -> LogDet:
     """
     cfg = SpindleConfig(beta=beta, mu=mu, curvature=float(beta) + 1.0)
     a = float(beta) + 1.0
-    tol_b = tol * max(1.0, a + 1.0 / a)
     parts = {
         "angle_area": -(a - 1.0 / a) / 6.0 * log(1.0 + mu**2 / a),
         "cone_scale": -(1.0 + (a + 1.0 / a) / 6.0) * log(a),
-        "barnes": -4.0 * zprime0(cfg.barnes_argument(), tol_b),
+        "barnes": -4.0 * zprime0(cfg.barnes_argument(), barnes_tol(a, tol)),
         "linear": 0.5 * a,
     }
     return LogDet.from_parts(parts)

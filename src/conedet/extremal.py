@@ -150,12 +150,13 @@ def find_local_max(initial: float, tol: float = 1e-8, max_iter: int = 200) -> Ex
             raise ConvergenceError("parabolic refinement lost concavity")
         return c + 0.5 * h * (fm - fp) / denom
 
-    spread = hi - lo
+    # the uncertainty is the change between successive Richardson results,
+    # not |v2 - v1|, which is the bias the extrapolation removes
     for h in (3e-3, 6e-4):
         v1 = vertex(center, h)
         v2 = vertex(center, h / 2.0)
         refined = (4.0 * v2 - v1) / 3.0  # cubic-term bias is O(h^2)
-        spread = abs(v2 - v1) / 3.0 + abs(refined - v2)
+        spread = abs(refined - center)
         center = refined
 
     if spread > tol:

@@ -1,7 +1,7 @@
-"""Numerical integration: adaptive Gauss-Kronrod quadrature on finite and
-semi-infinite intervals with declared endpoint singularities, and the
-improper plane integral giving the total area of a flat conical-metric
-sphere, cross-validated by an importance-sampled Monte-Carlo estimator.
+"""Numerical integration: adaptive Gauss-Kronrod quadrature on finite
+intervals, and the improper plane integral giving the total area of a flat
+conical-metric sphere, cross-validated by an importance-sampled Monte-Carlo
+estimator.
 
 The area integrand prod_j |z - p_j|^(2 beta_j) is integrable at each p_j
 (beta_j > -1) and decays like |z|^-4 (sum beta_j = -2).  The plane is split
@@ -11,7 +11,7 @@ with a smooth partition of unity into
   integrated with a Gauss-Jacobi rule carrying the exact weight
   s^(2 beta_j + 1) (the change of variable u = s^(2b+2)/(2b+2) absorbs
   the power law; the Jacobi rule is that substitution composed with a rule
-  exact for the induced measure),
+  exact for the induced measure, built here by Golub-Welsch),
 * the exterior of a large disk, mapped by w = 1/z, where the degree
   condition makes the transformed integrand smooth at w = 0, and
 * the remaining windowed region, integrated in polar coordinates by an
@@ -120,78 +120,47 @@ def integrate_adaptive(
     b: float,
     tol: float,
     *,
-    left_exponent: float = 0.0,
-    right_exponent: float = 0.0,
     initial_breakpoints=None,
     max_panels: int = 4000,
 ) -> QuadratureReport:
-    """Adaptive Gauss-Kronrod integral of a vectorized callable on (a, b).
+    """Adaptive Gauss-Kronrod integral of a vectorized callable on [a, b].
 
-    ``b`` may be ``math.inf``.  ``left_exponent`` (resp. ``right_exponent``)
-    declares integrable power-law behaviour f ~ (x - a)^g at a finite
-    endpoint with g > -1; the substitution u = (x - a)^(g + 1) then renders
-    the integrand bounded there.  Non-convergence is reported through
+    Both endpoints must be finite.  Non-convergence is reported through
     ``converged=False``, never as a silently wrong value.
     """
     check_tol(tol)
+    if not (isfinite(a) and isfinite(b)):
+        raise DomainError(f"integration limits must be finite, got [{a}, {b}]")
     if not a < b:
         raise DomainError(f"empty interval [{a}, {b}]")
-    if left_exponent <= -1.0 or right_exponent <= -1.0:
-        raise DomainError("endpoint exponents must exceed -1")
 
-    counter = [0]
+    evaluations = 0
 
-    def counted(g):
-        def wrapped(x):
-            counter[0] += len(x)
-            return g(x)
-
-        return wrapped
-
-    pieces = []  # (transformed f, lo, hi, breakpoints in transformed variable)
-    if b == inf:
-        if right_exponent != 0.0:
-            raise DomainError("right endpoint exponent requires a finite endpoint")
-        mid = a + 1.0
-        if left_exponent != 0.0:
-            pieces.append(_left_substituted(f, a, mid, left_exponent))
-        else:
-            pieces.append((f, a, mid, ()))
-        pieces.append(_mapped_semi_infinite(f, mid))
-    else:
-        if left_exponent != 0.0 and right_exponent != 0.0:
-            mid = 0.5 * (a + b)
-            pieces.append(_left_substituted(f, a, mid, left_exponent))
-            pieces.append(_right_substituted(f, mid, b, right_exponent))
-        elif left_exponent != 0.0:
-            pieces.append(_left_substituted(f, a, b, left_exponent))
-        elif right_exponent != 0.0:
-            pieces.append(_right_substituted(f, a, b, right_exponent))
-        else:
-            bks = tuple(x for x in (initial_breakpoints or ()) if a < x < b)
-            pieces.append((f, a, b, bks))
+    def counted(x):
+        nonlocal evaluations
+        evaluations += len(x)
+        return f(x)
 
     heap = []
     seq = 0
     panels = {}  # splittable, addressed from the heap
     frozen = []  # panels at the width floor, kept out of the heap
 
-    def push(g, left, right):
+    def push(left, right):
         nonlocal seq
-        val, err = _gk15_panel(g, left, right)
+        val, err = _gk15_panel(counted, left, right)
         mid = 0.5 * (left + right)
         if err == 0.0 or mid - left < 1e-15 * (abs(left) + abs(right) + 1.0):
             frozen.append((left, right, val, err))
         else:
-            panels[seq] = (left, right, val, err, g)
+            panels[seq] = (left, right, val, err)
             heapq.heappush(heap, (-err, seq))
             seq += 1
 
-    for g, lo, hi, bks in pieces:
-        g = counted(g)
-        edges = [lo, *sorted(bks), hi]
-        for left, right in zip(edges[:-1], edges[1:]):
-            push(g, left, right)
+    bks = sorted(x for x in (initial_breakpoints or ()) if a < x < b)
+    edges = [a, *bks, b]
+    for left, right in zip(edges[:-1], edges[1:]):
+        push(left, right)
 
     while True:
         total_err = fsum(p[3] for p in panels.values()) + fsum(p[3] for p in frozen)
@@ -202,51 +171,36 @@ def integrate_adaptive(
             converged = False
             break
         _, idx = heapq.heappop(heap)
-        left, right, _, _, g = panels.pop(idx)
+        left, right, _, _ = panels.pop(idx)
         mid = 0.5 * (left + right)
-        push(g, left, mid)
-        push(g, mid, right)
+        push(left, mid)
+        push(mid, right)
 
-    ordered = sorted(
-        [p[:4] for p in panels.values()] + frozen, key=lambda p: (p[0], p[1])
-    )
+    ordered = sorted([*panels.values(), *frozen], key=lambda p: (p[0], p[1]))
     value = fsum(p[2] for p in ordered)
     error = fsum(p[3] for p in ordered)
-    return QuadratureReport(value, error, counter[0], converged and error <= tol)
+    return QuadratureReport(value, error, evaluations, converged and error <= tol)
 
 
-def _left_substituted(f, a, b, g):
-    """u = (x - a)^(g+1) on [a, b]; integrand f(x) dx -> smooth in u."""
-    k = g + 1.0
-    u_hi = (b - a) ** k
+def _jacobi_rule(n: int, beta: float):
+    """n-point Gauss rule for the weight (1 + x)^beta on [-1, 1], beta > -1.
 
-    def fu(u):
-        x = a + u ** (1.0 / k)
-        return f(x) * (u ** (1.0 / k - 1.0)) / k
-
-    return fu, 0.0, u_hi, ()
-
-
-def _right_substituted(f, a, b, g):
-    k = g + 1.0
-    u_hi = (b - a) ** k
-
-    def fu(u):
-        x = b - u ** (1.0 / k)
-        return f(x) * (u ** (1.0 / k - 1.0)) / k
-
-    return fu, 0.0, u_hi, ()
-
-
-def _mapped_semi_infinite(f, a):
-    """x = a + t/(1-t) maps [a, inf) to t in [0, 1)."""
-
-    def ft(t):
-        om = 1.0 - t
-        x = a + t / om
-        return f(x) / (om * om)
-
-    return ft, 0.0, 1.0, ()
+    Golub-Welsch: the nodes are the eigenvalues of the symmetric tridiagonal
+    Jacobi matrix of the weight's three-term recurrence, and each weight is
+    the weight's mass 2^(beta+1)/(beta+1) times the squared first component
+    of the node's normalized eigenvector.
+    """
+    k = np.arange(n, dtype=float)
+    s = 2.0 * k + beta
+    diag = np.empty(n)
+    diag[0] = beta / (beta + 2.0)
+    diag[1:] = beta * beta / (s[1:] * (s[1:] + 2.0))
+    k, s = k[1:], s[1:]
+    off2 = 4.0 * k * k * (k + beta) ** 2 / (s * s * (s + 1.0) * (s - 1.0))
+    off2[0] = 4.0 * (1.0 + beta) / ((2.0 + beta) ** 2 * (3.0 + beta))
+    off = np.sqrt(off2)
+    nodes, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    return nodes, 2.0 ** (beta + 1.0) / (beta + 1.0) * vecs[0] ** 2
 
 
 # ----------------------------------------------------------------------
@@ -329,15 +283,12 @@ def _patch_term(cfg: FlatSphereConfig, j: int, radius: float, tol: float):
         * s^(2 b_j + 1) ds dphi.
     Both directions are doubled until the change drops below tol.
     """
-    # imported here, its only use, so that importing conedet never loads SciPy
-    from scipy.special import roots_jacobi
-
     pj = cfg.points[j]
     alpha = 2.0 * cfg.orders[j] + 1.0
     scale = (0.5 * radius) ** (alpha + 1.0)
 
     def tensor(n_rad, n_ang):
-        x, w = roots_jacobi(n_rad, 0.0, alpha)
+        x, w = _jacobi_rule(n_rad, alpha)
         s = radius * 0.5 * (x + 1.0)
         win = _window(s / radius)
         phi = 2.0 * pi * np.arange(n_ang) / n_ang

@@ -86,6 +86,13 @@ class TestScalarCommands:
         res = invoke(runner, ["find-max", "--initial", "0.2", "--tol", "1e-6"])
         assert abs(payload(res)["location"]) <= 1e-6
 
+    def test_find_max_default_flags(self, runner):
+        res = invoke(runner, ["find-max"])
+        assert res.exit_code == 0
+        data = payload(res)
+        assert data["tolerance_achieved"] <= 1e-8
+        assert abs(data["location"]) <= 1e-8
+
 
 class TestFileCommands:
     def test_flat_sphere_roundtrip(self, runner, tmp_path):
@@ -111,6 +118,15 @@ class TestFileCommands:
             )
         )
         assert a["value"] == pytest.approx(b["value"], abs=1e-6)
+
+    def test_flat_sphere_order_near_minus_one_default_tol(self, runner, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(
+            {"points": [[0.0, 0.0], [1.0, 0.0], [0.4, 0.3]], "orders": [-0.999, -0.5, -0.501]}
+        ))
+        res = invoke(runner, ["det", "flat-sphere", "--input", str(path)])
+        assert res.exit_code == 0
+        assert math.isfinite(payload(res)["value"])
 
     def test_area_with_mc(self, runner, tmp_path):
         path = tmp_path / "cfg.json"
@@ -376,9 +392,9 @@ print(json.dumps(loaded))
 
 
 def test_scipy_stays_off_the_import_path():
-    """SciPy is loaded by the first flat-sphere area, not by importing the
-    package or running a closed-form command. A fresh interpreter is needed
-    because this test process may already hold SciPy."""
+    """SciPy is never loaded: not by importing the package, not by a
+    closed-form command and not by a flat-sphere area. A fresh interpreter
+    is needed because this test process may already hold SciPy."""
     src = str(Path(conedet.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
@@ -390,7 +406,7 @@ def test_scipy_stays_off_the_import_path():
         "import conedet.cli": False,
         "cbeta --beta 0.5": False,
         "scan fixed-area": False,
-        "flat_sphere_area": True,
+        "flat_sphere_area": False,
     }
 
 

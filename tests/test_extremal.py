@@ -98,6 +98,13 @@ class TestFindLocalMax:
         with pytest.raises(DomainError):
             find_local_max(0.8, tol=1e-6)
 
+    def test_default_tolerance(self):
+        # the maximizer is beta = 0 exactly; the reported uncertainty must
+        # meet the default tol and still cover the true location error
+        report = find_local_max(0.2)
+        assert report.tolerance_achieved <= 1e-8
+        assert abs(report.location) <= report.tolerance_achieved
+
 
 class TestTaylorCheck:
     def test_coefficients(self, gamma):
