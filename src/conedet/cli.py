@@ -181,7 +181,7 @@ def cbeta_cmd(beta, p, q, tol, breakdown):
     if (p is None) != (q is None):
         raise click.UsageError("--p and --q must be given together")
     if p is not None:
-        order = ConeOrder.from_rational(RationalOrder(p, q))
+        order = ConeOrder(beta=beta, exact=RationalOrder(p, q))
         route = "rational"
     else:
         order = ConeOrder(beta=beta)
@@ -390,12 +390,11 @@ def scan_fixed_area(start, stop, steps, mu, out):
 
 
 @main.command("find-max")
-@click.option("--initial", type=float, default=0.2, show_default=True)
 @tol_option(1e-8)
 @json_command
-def find_max_cmd(initial, tol):
+def find_max_cmd(tol):
     """Locate the fixed-area determinant's interior maximum at mu = 0."""
-    report = extremal.find_local_max(initial, tol)
+    report = extremal.find_local_max(tol)
     return (
         {
             "location": report.location,

@@ -15,9 +15,8 @@ two genuinely independent routes which are required to agree:
 The Euler-Mascheroni constant is likewise computed (harmonic sum with
 Euler-Maclaurin correction), not copied from a table.
 
-All constants are memoized through lru_cache, whose internal locking gives
-race-free single initialization under concurrent first use; every function
-here is pure.
+All constants are memoized through lru_cache; every function here is pure,
+so a second computation under concurrent first use returns the same value.
 """
 
 from dataclasses import dataclass

@@ -416,7 +416,6 @@ class ComparisonData:
     boundary_geo: float = 0.0
     boundary_normal: float = 0.0
     singularities: tuple = field(default_factory=tuple)
-    areas: tuple | None = None
     has_boundary: bool = False
 
     def __post_init__(self):

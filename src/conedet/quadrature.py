@@ -14,11 +14,14 @@ with a smooth partition of unity into
   exact for the induced measure, built here by Golub-Welsch),
 * the exterior of a large disk, mapped by w = 1/z, where the degree
   condition makes the transformed integrand smooth at w = 0, and
-* the remaining windowed region, integrated in polar coordinates by an
-  iterated scheme: adaptive Gauss-Kronrod radially, spectrally convergent
-  periodic trapezoid in the angle.  The angular means for the radial nodes
-  of one Gauss-Kronrod panel are evaluated together as one array, and each
-  node's row stops doubling on its own test.
+* the remaining windowed region, integrated in polar coordinates with
+  adaptive Gauss-Kronrod radially, its first panels split where the patch
+  windows begin and end.
+
+Every region takes its angle means from one spectrally convergent periodic
+trapezoid: the means at all radial nodes of one Gauss-Kronrod panel or one
+Gauss-Jacobi rule are evaluated together as one array, and each node's row
+stops doubling on its own test.
 
 All schemes are deterministic for fixed inputs: panel selection uses a
 worst-first heap with sequence-number tie-breaking, and final sums are
@@ -281,36 +284,35 @@ def _patch_term(cfg: FlatSphereConfig, j: int, radius: float, tol: float):
     integral over s in (0, r], phi in [0, 2 pi) of
         window(s/r) * prod_{i != j} |p_j + s e^{i phi} - p_i|^(2 b_i)
         * s^(2 b_j + 1) ds dphi.
-    Both directions are doubled until the change drops below tol.
+    The radial rule doubles until the change drops below tol/2; the angle
+    means at its nodes come from _theta_means, with a row tolerance that
+    keeps their weighted sum within the other tol/2.
     """
     pj = cfg.points[j]
     alpha = 2.0 * cfg.orders[j] + 1.0
-    scale = (0.5 * radius) ** (alpha + 1.0)
+    scale = 2.0 * pi * (0.5 * radius) ** (alpha + 1.0)
+    # the Jacobi weights sum to 2^(alpha+1)/(alpha+1)
+    row_tol = tol / (2.0 * scale * 2.0 ** (alpha + 1.0) / (alpha + 1.0))
 
-    def tensor(n_rad, n_ang):
+    def ring(s, phi):
+        return _density(cfg, pj.real + s * np.cos(phi), pj.imag + s * np.sin(phi), skip=j)
+
+    def level(n_rad):
         x, w = _jacobi_rule(n_rad, alpha)
         s = radius * 0.5 * (x + 1.0)
-        win = _window(s / radius)
-        phi = 2.0 * pi * np.arange(n_ang) / n_ang
-        ss, pp = np.meshgrid(s, phi, indexing="ij")
-        zx = pj.real + ss * np.cos(pp)
-        zy = pj.imag + ss * np.sin(pp)
-        ang_mean = _density(cfg, zx, zy, skip=j).mean(axis=1)
-        return scale * 2.0 * pi * float(w @ (win * ang_mean)), n_rad * n_ang
+        means, evals, ok = _theta_means(ring, s, row_tol)
+        return scale * float(w @ (_window(s / radius) * means)), evals, ok
 
-    n_rad, n_ang = 12, 32
-    prev, evals = tensor(n_rad, n_ang)
-    total_evals = evals
+    n_rad = 12
+    prev, total_evals, _ = level(n_rad)
     while True:
-        n_rad, n_ang = 2 * n_rad, 2 * n_ang
-        cur, evals = tensor(n_rad, n_ang)
+        n_rad *= 2
+        cur, evals, ok = level(n_rad)
         total_evals += evals
         err = abs(cur - prev)
-        if err <= tol:
-            return cur, err, total_evals, True
+        if err <= tol / 2.0 or n_rad > 800:
+            return cur, err + tol / 2.0, total_evals, ok and err <= tol / 2.0
         prev = cur
-        if n_rad > 800:
-            return cur, err, total_evals, False
 
 
 def _theta_means(fn, rs, tol: float, cap: int = 1 << 14):
@@ -337,12 +339,13 @@ def _theta_means(fn, rs, tol: float, cap: int = 1 << 14):
     return means, evals, live.size == 0
 
 
-def _polar_iterated(fn, r_hi: float, tol: float):
+def _polar_iterated(fn, r_hi: float, tol: float, breakpoints=()):
     """integral over the polar rectangle [0, r_hi] x [0, 2 pi) of fn(r, theta) r dr dtheta.
 
-    Outer: adaptive Gauss-Kronrod in r.  Inner: periodic trapezoid mean,
-    taken for the 15 radial nodes of a panel in one call with ``r`` as a
-    column and ``theta`` as a row; each node's row stops on its own.
+    Outer: adaptive Gauss-Kronrod in r, started from panels split at
+    ``breakpoints``.  Inner: periodic trapezoid mean, taken for the 15
+    radial nodes of a panel in one call with ``r`` as a column and
+    ``theta`` as a row; each node's row stops on its own.
     """
     inner_tol = tol / (4.0 * pi * r_hi * r_hi)
     evals = [0]
@@ -354,7 +357,9 @@ def _polar_iterated(fn, r_hi: float, tol: float):
         inner_ok[0] = inner_ok[0] and ok
         return 2.0 * pi * rs * means
 
-    rep = integrate_adaptive(radial, 0.0, r_hi, tol / 2.0, max_panels=600)
+    rep = integrate_adaptive(
+        radial, 0.0, r_hi, tol / 2.0, initial_breakpoints=breakpoints, max_panels=600
+    )
     return rep.value, rep.error_estimate + pi * r_hi * r_hi * inner_tol, evals[0], rep.converged and inner_ok[0]
 
 
@@ -371,14 +376,8 @@ def flat_sphere_area(cfg: FlatSphereConfig, tol: float = 1e-8) -> QuadratureRepo
     n = len(cfg.points)
     tol_piece = tol / (n + 2)
 
-    values, errors, evals, ok = [], [], 0, True
-
-    for j, rj in enumerate(radii):
-        v, e, ne, c = _patch_term(cfg, j, rj, tol_piece)
-        values.append(v)
-        errors.append(e)
-        evals += ne
-        ok = ok and c
+    # (value, error, evaluations, converged) per region
+    parts = [_patch_term(cfg, j, rj, tol_piece) for j, rj in enumerate(radii)]
 
     # Exterior chart: w = 1/z on |w| <= 2/R.  With q_i = 1/p_i,
     # prod |1 - p_i w|^(2 b_i) = prod |p_i|^(2 b_i) * prod |w - q_i|^(2 b_i)
@@ -402,11 +401,7 @@ def flat_sphere_area(cfg: FlatSphereConfig, tol: float = 1e-8) -> QuadratureRepo
         wfac = 1.0 - _window(t)
         return pref * wfac * kernels.product_density(u, v, qx, qy, qb)
 
-    v, e, ne, c = _polar_iterated(exterior, 2.0 / big_r, tol_piece)
-    values.append(v)
-    errors.append(e)
-    evals += ne
-    ok = ok and c
+    parts.append(_polar_iterated(exterior, 2.0 / big_r, tol_piece))
 
     px = np.array([p.real for p in cfg.points])
     py = np.array([p.imag for p in cfg.points])
@@ -424,17 +419,16 @@ def flat_sphere_area(cfg: FlatSphereConfig, tol: float = 1e-8) -> QuadratureRepo
             out[live] = bracket[live] * _density(cfg, x[live], y[live])
         return out
 
-    v, e, ne, c = _polar_iterated(middle, big_r, tol_piece)
-    values.append(v)
-    errors.append(e)
-    evals += ne
-    ok = ok and c
+    # the patch window around p_j is nonzero only for |p_j| - r_j < |z| < |p_j| + r_j
+    rims = {abs(p) + sign * rj for p, rj in zip(cfg.points, radii) for sign in (-1.0, 1.0)}
+    parts.append(_polar_iterated(middle, big_r, tol_piece, breakpoints=rims))
 
+    values, errors, evals, oks = zip(*parts)
     value = fsum(values)
     error = fsum(errors)
     if not isfinite(value):
         raise ConvergenceError("area integral produced a non-finite value")
-    return QuadratureReport(value, error, evals, ok and error <= tol)
+    return QuadratureReport(value, error, sum(evals), all(oks) and error <= tol)
 
 
 def flat_sphere_area_mc(cfg: FlatSphereConfig, samples: int, seed: int):

@@ -136,7 +136,7 @@ def test_criterion_05_sphere_degenerations(zp):
 
 
 def test_criterion_06_extremal_reproduction(gamma):
-    rep = find_local_max(0.2, tol=1e-6)
+    rep = find_local_max(tol=1e-6)
     loc_ok = abs(rep.location) <= 1e-6
     val_ok = abs(rep.value - round_sphere_logdet()) <= 1e-10
     c2, c3 = taylor_check_at_zero(1e-3)

@@ -83,7 +83,7 @@ class TestScalarCommands:
         assert data["c2"] == pytest.approx(-(gamma / 3 + 1.0 / 9.0), abs=1e-4)
 
     def test_find_max(self, runner):
-        res = invoke(runner, ["find-max", "--initial", "0.2", "--tol", "1e-6"])
+        res = invoke(runner, ["find-max", "--tol", "1e-6"])
         assert abs(payload(res)["location"]) <= 1e-6
 
     def test_find_max_default_flags(self, runner):
@@ -223,6 +223,7 @@ DOMAIN_ARGS = [
     ["cbeta", "--beta", "nan"],
     ["cbeta", "--beta", "inf"],
     ["cbeta", "--beta", "0.5", "--tol", "nan"],
+    ["cbeta", "--beta", "0.5", "--p", "2", "--q", "1"],
     ["det", "spindle", "--beta", "inf"],
     ["det", "spindle", "--beta", "nan"],
     ["det", "spindle", "--beta", "0.5", "--mu", "nan"],

@@ -79,29 +79,21 @@ class TestScanCurve:
 
 
 class TestFindLocalMax:
-    @pytest.mark.parametrize("initial", [-0.3, -0.1, 0.1, 0.3])
-    def test_initialization_robust(self, initial):
-        report = find_local_max(initial, tol=1e-6)
-        assert abs(report.location) <= 1e-6
-
     def test_matches_round_sphere(self):
-        report = find_local_max(0.2, tol=1e-6)
+        report = find_local_max(tol=1e-6)
+        assert abs(report.location) <= 1e-6
         assert report.value == pytest.approx(round_sphere_logdet(), abs=1e-10)
 
     def test_second_derivative(self):
-        report = find_local_max(0.2, tol=1e-6)
+        report = find_local_max(tol=1e-6)
         assert report.second_derivative == pytest.approx(
             reference_second_derivative(), abs=1e-4
         )
 
-    def test_rejects_far_initial(self):
-        with pytest.raises(DomainError):
-            find_local_max(0.8, tol=1e-6)
-
     def test_default_tolerance(self):
         # the maximizer is beta = 0 exactly; the reported uncertainty must
         # meet the default tol and still cover the true location error
-        report = find_local_max(0.2)
+        report = find_local_max()
         assert report.tolerance_achieved <= 1e-8
         assert abs(report.location) <= report.tolerance_achieved
 

@@ -167,6 +167,26 @@ class TestFlatSphereArea:
         base = flat_sphere_area(SYMMETRIC, 1e-8).value
         assert got * abs(c) ** 2 == pytest.approx(base, abs=1e-7)
 
+    def test_middle_region_sees_patch_windows(self):
+        # four cones on a circle of radius 0.428: a middle-region quadrature
+        # whose first panels miss the patch windows near r = 0.43 still passes
+        # its error test, with an area 1.3 low
+        cfg = FlatSphereConfig(
+            points=[
+                0.4181000565195359 + 0.08987981316895674j,
+                -0.0898798131689567 + 0.4181000565195359j,
+                -0.4181000565195359 - 0.08987981316895677j,
+                0.08987981316895655 - 0.41810005651953597j,
+            ],
+            orders=[
+                -0.5045576004118199, -0.5227764068962104,
+                -0.5182498323625443, -0.45441616032942544,
+            ],
+        )
+        loose = flat_sphere_area(cfg, 1e-6)
+        assert loose.converged
+        assert loose.value == pytest.approx(flat_sphere_area(cfg, 1e-10).value, abs=1e-6)
+
     def test_rotation_invariance(self):
         w = complex(math.cos(0.7), math.sin(0.7))
         rot = FlatSphereConfig(
@@ -196,21 +216,39 @@ def _theta_mean_reference(fn, r, tol, cap=1 << 14):
 
 @pytest.fixture(scope="module")
 def polar_integrands():
-    """The (exterior, middle) integrands of flat_sphere_area(SYMMETRIC, 1e-8)
-    with their radial upper limits and inner tolerances."""
-    captured = []
-    original = quadrature._polar_iterated
+    """The integrands of flat_sphere_area(SYMMETRIC, 1e-8) with their radial
+    upper limits and row tolerances: the (exterior, middle) integrands as
+    handed to _polar_iterated, and the first patch's ring function as
+    _patch_term hands it to _theta_means."""
+    polar, rows, patches = [], [], []
+    originals = {
+        name: getattr(quadrature, name)
+        for name in ("_polar_iterated", "_patch_term", "_theta_means")
+    }
 
-    def spy(fn, r_hi, tol):
-        captured.append((fn, r_hi, tol / (4.0 * math.pi * r_hi * r_hi)))
-        return original(fn, r_hi, tol)
+    def polar_spy(fn, r_hi, tol, breakpoints=()):
+        polar.append((fn, r_hi, tol / (4.0 * math.pi * r_hi * r_hi)))
+        return originals["_polar_iterated"](fn, r_hi, tol, breakpoints)
 
-    quadrature._polar_iterated = spy
+    def patch_spy(cfg, j, radius, tol):
+        patches.append((len(rows), radius))
+        return originals["_patch_term"](cfg, j, radius, tol)
+
+    def theta_spy(fn, rs, tol, *rest):
+        rows.append((fn, tol))
+        return originals["_theta_means"](fn, rs, tol, *rest)
+
+    quadrature._polar_iterated = polar_spy
+    quadrature._patch_term = patch_spy
+    quadrature._theta_means = theta_spy
     try:
         flat_sphere_area(SYMMETRIC, 1e-8)
     finally:
-        quadrature._polar_iterated = original
-    return dict(zip(("exterior", "middle"), captured))
+        for name, fn in originals.items():
+            setattr(quadrature, name, fn)
+    first, radius = patches[0]
+    ring, row_tol = rows[first]
+    return {**dict(zip(("exterior", "middle"), polar)), "patch": (ring, radius, row_tol)}
 
 
 def exact_three_cone_area(points, orders):
@@ -259,7 +297,7 @@ class TestExactArea:
 class TestThetaMeans:
     """The row-wise angular means equal the one-row loop bit for bit."""
 
-    @pytest.mark.parametrize("region", ["exterior", "middle"])
+    @pytest.mark.parametrize("region", ["exterior", "middle", "patch"])
     @pytest.mark.parametrize("panel", [(0.0, 1.0), (0.25, 0.5), (0.6, 0.65)])
     @pytest.mark.parametrize("cap", [1 << 14, 64])
     def test_matches_one_row_loop(self, polar_integrands, region, panel, cap):
@@ -282,11 +320,13 @@ class TestThetaMeans:
 
 
 class TestPinnedCounts:
-    """Evaluation counts and values of the per-node loop this scheme replaced."""
+    """Evaluation counts of the row-wise angle means, where every patch,
+    exterior and middle radius stops on its own, and values that match the
+    earlier schemes (a shared patch grid, a per-node loop) to rel 1e-12."""
 
     @pytest.mark.parametrize(
         "tol, evaluations, value",
-        [(1e-6, 294400, 15.324347153496445), (1e-8, 860032, 15.32434715349721)],
+        [(1e-6, 242624, 15.324347153496445), (1e-8, 397120, 15.32434715349721)],
     )
     def test_symmetric(self, tol, evaluations, value):
         rep = flat_sphere_area(SYMMETRIC, tol)
