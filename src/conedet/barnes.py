@@ -39,6 +39,10 @@ __all__ = [
     "zprime_a0_IR",
 ]
 
+# The closed form sums p + q terms in Python loops (the Dedekind sum and the
+# log-gamma sums); past this many it runs for seconds, growing linearly.
+MAX_RATIONAL_TERMS = 100_000
+
 # B_4, B_6, ..., B_24: enough series terms for the J(a) bracket at the
 # crossover radius used below (terms shrink by >= two decades each).
 _BERNOULLI = (
@@ -139,8 +143,14 @@ def zprime0_rational(r: RationalOrder) -> float:
       + sum_{j<q} (1/2 - j/q) log Gamma(((j p/q)) + 1/2),
     with exact rational sawtooth arguments (k q/p is never an integer for
     0 < k < p, so the arguments lie strictly inside (0, 1)).
+
+    Raises DomainError when p + q exceeds MAX_RATIONAL_TERMS (100000).
     """
     p, q = r.p, r.q
+    if p + q > MAX_RATIONAL_TERMS:
+        raise DomainError(
+            f"closed form needs p + q <= {MAX_RATIONAL_TERMS}, got {p}/{q}"
+        )
     s = dedekind_sum(q, p)
     terms = [
         zeta_prime_minus1() / (p * q),

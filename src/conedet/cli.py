@@ -8,7 +8,8 @@ Every JSON command is declared through ``json_command``: its body returns
 math errors to exit codes and adds the shared ``--timing`` flag.  Output is
 bit-identical across identical invocations; wall-clock timing is therefore
 opt-in via --timing, which adds ``meta.wall_time_s``.  ``--tol`` is declared
-through ``tol_option``, the one place where the CLI validates a tolerance.
+through ``tol_option``, the one place where the CLI validates a tolerance,
+and ``--beta`` through ``beta_option``, the one place where it parses one.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import json
 import sys
 import time
 from functools import wraps
-from math import fsum, log
+from math import log
 
 import click
 
@@ -132,6 +133,11 @@ def _beta_value(text: str):
         return float(text)
 
 
+# click turns the ValueError of a non-number into a usage error (exit 2)
+beta_option = click.option("--beta", type=_beta_value, metavar="NUMBER", required=True,
+                           help="Cone order; plain integers stay exact.")
+
+
 @click.group()
 def main():
     """Determinants of Laplacians on surfaces with conical singularities."""
@@ -170,7 +176,7 @@ def barnes_zprime0_cmd(a_real, p, q, tol, cross_check):
 
 
 @main.command("cbeta")
-@click.option("--beta", type=float, required=True)
+@beta_option
 @click.option("--p", type=int, default=None, help="Numerator of exact beta + 1.")
 @click.option("--q", type=int, default=None, help="Denominator of exact beta + 1.")
 @tol_option(1e-10)
@@ -180,17 +186,10 @@ def cbeta_cmd(beta, p, q, tol, breakdown):
     """The per-singularity contribution C(beta)."""
     if (p is None) != (q is None):
         raise click.UsageError("--p and --q must be given together")
-    if p is not None:
-        order = ConeOrder(beta=beta, exact=RationalOrder(p, q))
-        route = "rational"
-    else:
-        order = ConeOrder(beta=beta)
-        route = "integral"
-    parts = c_beta_parts(order, tol)
-    payload = {"value": fsum(parts.values())}
-    if breakdown:
-        payload["breakdown"] = parts
-    return payload, {"tol": tol, "route": route}
+    order = ConeOrder.of(beta) if p is None else ConeOrder(beta, RationalOrder(p, q))
+    result = determinants.LogDet.from_parts(c_beta_parts(order, tol))
+    route = "integral" if order.exact is None else "rational"
+    return _logdet_payload(result, breakdown), {"tol": tol, "route": route}
 
 
 @main.command("zeta0")
@@ -215,7 +214,7 @@ def det_group():
 
 
 @det_group.command("spindle")
-@click.option("--beta", type=str, required=True, help="Cone order; plain integers stay exact.")
+@beta_option
 @click.option("--mu", type=float, default=0.0, show_default=True)
 @click.option("--k", "--K", "curvature", type=float, default=1.0, show_default=True)
 @tol_option(1e-10)
@@ -223,20 +222,20 @@ def det_group():
 @json_command
 def det_spindle(beta, mu, curvature, tol, breakdown):
     """Constant-positive-curvature sphere with two equal cone points."""
-    cfg = determinants.SpindleConfig(beta=_beta_value(beta), mu=mu, curvature=curvature)
+    cfg = determinants.SpindleConfig(beta=beta, mu=mu, curvature=curvature)
     result = determinants.logdet_spindle(cfg, tol)
     return _logdet_payload(result, breakdown), {"tol": tol, "route": "closed-form"}
 
 
 @det_group.command("spindle-area4pi")
-@click.option("--beta", type=str, required=True)
+@beta_option
 @click.option("--mu", type=float, default=0.0, show_default=True)
 @tol_option(1e-10)
 @click.option("--breakdown", is_flag=True)
 @json_command
 def det_spindle_area4pi(beta, mu, tol, breakdown):
     """Fixed-area-4pi spindle determinant."""
-    result = determinants.logdet_spindle_area4pi(_beta_value(beta), mu, tol)
+    result = determinants.logdet_spindle_area4pi(beta, mu, tol)
     return _logdet_payload(result, breakdown), {"tol": tol, "route": "closed-form"}
 
 
@@ -256,7 +255,7 @@ def det_flat_sphere(input_path, tol, form, breakdown):
 
 
 @det_group.command("disk")
-@click.option("--beta", type=str, required=True, help="Cone order; plain integers stay exact.")
+@beta_option
 @click.option("--k", type=float, required=True)
 @tol_option(1e-10)
 @click.option("--breakdown", is_flag=True)
@@ -267,7 +266,7 @@ def det_disk(beta, k, tol, breakdown):
     The disk |z| <= 1 with metric 4|z|^(2 beta)|dz|^2 / (1 + k|z|^(2 beta + 2))^2;
     beta = k = 0 is the flat disk of radius 2.
     """
-    cfg = determinants.DiskConfig(beta=_beta_value(beta), k=k)
+    cfg = determinants.DiskConfig(beta=beta, k=k)
     result = determinants.logdet_disk(cfg, tol)
     return _logdet_payload(result, breakdown), {"tol": tol, "route": "closed-form"}
 
@@ -424,13 +423,13 @@ def distance_group():
 
 
 @distance_group.command("spindle")
-@click.option("--beta", type=str, required=True)
+@beta_option
 @click.option("--mu", type=float, default=0.0, show_default=True)
 @click.option("--k", "--K", "curvature", type=float, default=1.0, show_default=True)
 @json_command
 def distance_spindle(beta, mu, curvature):
     """Distance between the two cone points of a spindle."""
-    cfg = determinants.SpindleConfig(beta=_beta_value(beta), mu=mu, curvature=curvature)
+    cfg = determinants.SpindleConfig(beta=beta, mu=mu, curvature=curvature)
     return {"value": determinants.spindle_distance(cfg)}, {"route": "closed-form"}
 
 

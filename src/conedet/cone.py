@@ -7,12 +7,13 @@ A cone point of order beta > -1 has total angle 2 pi (beta + 1).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
-from math import fsum, isfinite, log
+from math import fsum, inf, isfinite, log
 
 from .barnes import barnes_tol, zprime0
 from .constants import zeta_prime_minus1
-from .errors import DomainError
+from .errors import ConfigurationError, DomainError
 from .special import LOG_2PI, RationalOrder
 
 __all__ = [
@@ -31,8 +32,11 @@ __all__ = [
 _MIN_BETA = -1.0 + 1e-9
 
 
-def _check_beta(beta: float) -> float:
-    beta = float(beta)
+def _check_beta(beta) -> float:
+    try:
+        beta = float(beta)
+    except OverflowError:  # an int beyond the float range
+        beta = inf
     if not (isfinite(beta) and beta > _MIN_BETA):
         raise DomainError(f"cone order {beta} must be finite and exceed -1 + 1e-9")
     return beta
@@ -44,18 +48,33 @@ class ConeOrder:
 
     ``exact``, when present, is the rational value of beta + 1; it routes
     Barnes-derivative evaluations through the closed rational form.
-    Construct exact orders with :meth:`from_rational`.
+    :meth:`of` turns any accepted beta into an order; construct other exact
+    orders with :meth:`from_rational`.
     """
 
     beta: float
     exact: RationalOrder | None = None
 
     def __post_init__(self):
-        _check_beta(self.beta)
+        object.__setattr__(self, "beta", _check_beta(self.beta))
         if self.exact is not None and self.exact.value - 1.0 != self.beta:
             raise DomainError(
                 f"exact order {self.exact.p}/{self.exact.q} does not match beta={self.beta}"
             )
+
+    @classmethod
+    def of(cls, beta) -> "ConeOrder":
+        """The order for ``beta``: a ConeOrder passes through, a plain int is
+        exact (beta + 1 = (beta+1)/1), any other real number is a float order,
+        and a bool or a non-number is a ConfigurationError."""
+        if isinstance(beta, cls):
+            return beta
+        if isinstance(beta, bool) or not isinstance(beta, numbers.Real):
+            raise ConfigurationError(f"cone order must be a real number, got {type(beta)!r}")
+        if isinstance(beta, int):
+            _check_beta(beta)
+            return cls.from_rational(RationalOrder(beta + 1, 1))
+        return cls(beta=beta)
 
     @classmethod
     def from_rational(cls, a_plus: RationalOrder) -> "ConeOrder":
@@ -67,12 +86,6 @@ class ConeOrder:
         return self.exact if self.exact is not None else self.beta + 1.0
 
 
-def _as_order(order) -> ConeOrder:
-    if isinstance(order, ConeOrder):
-        return order
-    return ConeOrder(beta=float(order))
-
-
 @dataclass(frozen=True)
 class SurfaceTopology:
     """Topological Euler characteristic, cone orders, boundary flag."""
@@ -82,7 +95,7 @@ class SurfaceTopology:
     has_boundary: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "orders", tuple(_as_order(o) for o in self.orders))
+        object.__setattr__(self, "orders", tuple(ConeOrder.of(o) for o in self.orders))
 
     @property
     def chi_divisor(self) -> float:
@@ -100,7 +113,7 @@ def c_beta_parts(order, tol: float = 1e-12) -> dict:
     C(beta) = 2 zeta'_B(0; beta+1, 1, 1) - 2 zeta'_R(-1)
               - beta^2 log(2) / (6 (beta+1)) - beta/12 + log(beta+1)/2.
     """
-    order = _as_order(order)
+    order = ConeOrder.of(order)
     beta = order.beta
     a = beta + 1.0
     return {
@@ -122,8 +135,7 @@ def zeta_disk_at0(beta: float) -> float:
     """zeta(0) of the flat cone disk, metric 4 |z|^(2 beta) |dz|^2 on |z| <= 1:
     (beta + 1 + 1/(beta+1)) / 12. It does not depend on the scale of the
     metric."""
-    beta = _check_beta(beta)
-    a = beta + 1.0
+    a = ConeOrder.of(beta).beta + 1.0
     return (a + 1.0 / a) / 12.0
 
 
@@ -134,10 +146,8 @@ def zeta_disk_prime0(beta: float, tol: float = 1e-12) -> float:
 
     At beta = 0 that metric is the flat disk of radius 2, so the value is
     -logdet_flat_disk(2), not the unit flat disk's zeta'(0).
-
-    Accepts a ConeOrder to route through the exact rational form.
     """
-    order = _as_order(beta)
+    order = ConeOrder.of(beta)
     a = order.beta + 1.0
     return fsum(
         [

@@ -15,11 +15,11 @@ from dataclasses import dataclass, field
 from math import atan, exp, fsum, isfinite, log, pi, sqrt
 
 from .barnes import barnes_tol, zprime0, zprime_a0
-from .cone import c_beta
+from .cone import ConeOrder, c_beta
 from .constants import zeta_prime_minus1
 from .errors import ConfigurationError, ConvergenceError, DomainError
 from .quadrature import FlatSphereConfig, flat_sphere_area
-from .special import LOG_2PI, RationalOrder
+from .special import LOG_2PI
 
 __all__ = [
     "ComparisonData",
@@ -62,40 +62,31 @@ class SpindleConfig:
     of equal order beta at 0 and infinity.
 
     The classification of such metrics requires beta to be an integer
-    whenever mu > 0.  Integer orders are detected structurally: pass beta
-    as a Python int.  A float beta (even 2.0) claims a non-integer order
-    and therefore demands mu = 0.
+    whenever mu > 0.  beta becomes a cone order through ConeOrder.of, so a
+    plain int is exact and integer orders are detected structurally: a
+    float beta (even 2.0) claims a non-integer order and therefore demands
+    mu = 0.
     """
 
-    beta: int | float
+    beta: int | float | ConeOrder
     mu: float = 0.0
     curvature: float = 1.0
+    order: ConeOrder = field(init=False)
 
     def __post_init__(self):
-        if isinstance(self.beta, bool) or not isinstance(self.beta, (int, float)):
-            raise ConfigurationError(f"beta must be int or float, got {type(self.beta)!r}")
-        if not (isfinite(self.beta) and self.beta > -1.0 + 1e-9):
-            raise DomainError(f"beta={self.beta} must be finite and exceed -1 + 1e-9")
+        object.__setattr__(self, "order", ConeOrder.of(self.beta))
         if not (isfinite(self.mu) and self.mu >= 0):
             raise ConfigurationError(f"mu must be finite and nonnegative, got {self.mu}")
         if not (isfinite(self.curvature) and self.curvature > 0):
             raise ConfigurationError(
                 f"curvature must be finite and positive, got {self.curvature}"
             )
-        if self.mu > 0 and not self.integer_order:
+        exact = self.order.exact
+        if self.mu > 0 and not (exact is not None and exact.q == 1):
             raise ConfigurationError(
                 "admissible two-cone metrics require an integer order when mu > 0 "
                 "(pass beta as a Python int)"
             )
-
-    @property
-    def integer_order(self) -> bool:
-        return isinstance(self.beta, int)
-
-    def barnes_argument(self):
-        if self.integer_order:
-            return RationalOrder(self.beta + 1, 1)
-        return float(self.beta) + 1.0
 
 
 def round_sphere_logdet() -> float:
@@ -112,13 +103,14 @@ def logdet_spindle(cfg: SpindleConfig, tol: float = 1e-12) -> LogDet:
 
     a = beta + 1, K the curvature.
     """
-    a = float(cfg.beta) + 1.0
+    order = cfg.order
+    a = order.beta + 1.0
     k = cfg.curvature
     parts = {
         "angle_area": -(a - 1.0 / a) / 6.0 * log(1.0 + cfg.mu**2 / k),
         "linear": 0.5 * a,
         "cone_scale": -(a + 1.0 / a) / 3.0 * log(a / sqrt(k)),
-        "barnes": -4.0 * zprime0(cfg.barnes_argument(), barnes_tol(a, tol)),
+        "barnes": -4.0 * zprime0(order.barnes_argument(), barnes_tol(a, tol)),
         "curvature_norm": -log(k),
     }
     return LogDet.from_parts(parts)
@@ -133,12 +125,13 @@ def logdet_spindle_area4pi(beta, mu: float = 0.0, tol: float = 1e-12) -> LogDet:
     Same formula as :func:`logdet_spindle` after the substitution
     K = beta + 1; assembled independently as a cross-check.
     """
-    cfg = SpindleConfig(beta=beta, mu=mu, curvature=float(beta) + 1.0)
-    a = float(beta) + 1.0
+    order = ConeOrder.of(beta)
+    a = order.beta + 1.0
+    SpindleConfig(beta=order, mu=mu, curvature=a)  # the family's mu rule
     parts = {
         "angle_area": -(a - 1.0 / a) / 6.0 * log(1.0 + mu**2 / a),
         "cone_scale": -(1.0 + (a + 1.0 / a) / 6.0) * log(a),
-        "barnes": -4.0 * zprime0(cfg.barnes_argument(), barnes_tol(a, tol)),
+        "barnes": -4.0 * zprime0(order.barnes_argument(), barnes_tol(a, tol)),
         "linear": 0.5 * a,
     }
     return LogDet.from_parts(parts)
@@ -262,15 +255,16 @@ class DiskConfig:
     4 |z|^(2 beta) |dz|^2 / (1 + k |z|^(2 beta + 2))^2: a cone of order beta
     at the center and curvature parameter k > -1 (Gaussian curvature
     (beta+1)^2 k). The beta = k = 0 member is the flat disk of radius 2;
-    beta = 0, k = 1 is the unit hemisphere."""
+    beta = 0, k = 1 is the unit hemisphere.  beta becomes a cone order
+    through ConeOrder.of, so a plain int is exact."""
 
-    beta: float
+    beta: int | float | ConeOrder
     k: float
+    order: ConeOrder = field(init=False)
 
     def __post_init__(self):
-        beta, k = float(self.beta), float(self.k)
-        if not (isfinite(beta) and beta > -1.0 + 1e-9):
-            raise DomainError(f"beta={self.beta} must be finite and exceed -1 + 1e-9")
+        object.__setattr__(self, "order", ConeOrder.of(self.beta))
+        k = float(self.k)
         if not (isfinite(k) and k > -1.0 + 1e-9):
             raise DomainError(f"curvature parameter k={self.k} must be finite and exceed -1")
 
@@ -285,10 +279,10 @@ def logdet_disk(cfg: DiskConfig, tol: float = 1e-12) -> LogDet:
 
     At beta = k = 0 this equals logdet_flat_disk(2), not logdet_flat_disk(1).
     """
-    a = float(cfg.beta) + 1.0
-    arg = RationalOrder(int(cfg.beta) + 1, 1) if isinstance(cfg.beta, int) else a
+    order = cfg.order
+    a = order.beta + 1.0
     parts = {
-        "barnes": -2.0 * zprime0(arg, tol),
+        "barnes": -2.0 * zprime0(order.barnes_argument(), tol),
         "log_angle": -0.5 * log(a),
         "curvature_linear": (11.0 * cfg.k - 5.0) / (12.0 * (1.0 + cfg.k)) * a,
         "constant": -0.5 * LOG_2PI,

@@ -13,6 +13,7 @@ from .cone import c_beta
 from .constants import euler_gamma
 from .determinants import logdet_spindle_area4pi
 from .errors import ConvergenceError, DomainError
+from .quadrature import check_tol
 
 __all__ = [
     "ExtremumReport",
@@ -117,6 +118,7 @@ def find_local_max(tol: float = 1e-8) -> ExtremumReport:
     noise floor ~sqrt(eps), so the vertex is then refined by
     Richardson-extrapolated three-point parabolic fits.
     """
+    check_tol(tol)
     lo, hi = -0.7, 0.7
     cache: dict = {}
 

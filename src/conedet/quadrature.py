@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import count
 from math import fsum, inf, isfinite, log, pi
 
 import numpy as np
@@ -144,45 +145,36 @@ def integrate_adaptive(
         evaluations += len(x)
         return f(x)
 
-    heap = []
-    seq = 0
-    panels = {}  # splittable, addressed from the heap
+    heap = []  # splittable panels (-err, seq, left, right, val), worst first
     frozen = []  # panels at the width floor, kept out of the heap
+    seq = count()
 
     def push(left, right):
-        nonlocal seq
         val, err = _gk15_panel(counted, left, right)
         mid = 0.5 * (left + right)
+        panel = (-err, next(seq), left, right, val)
         if err == 0.0 or mid - left < 1e-15 * (abs(left) + abs(right) + 1.0):
-            frozen.append((left, right, val, err))
+            frozen.append(panel)
         else:
-            panels[seq] = (left, right, val, err)
-            heapq.heappush(heap, (-err, seq))
-            seq += 1
+            heapq.heappush(heap, panel)
 
     bks = sorted(x for x in (initial_breakpoints or ()) if a < x < b)
     edges = [a, *bks, b]
     for left, right in zip(edges[:-1], edges[1:]):
         push(left, right)
 
-    while True:
-        total_err = fsum(p[3] for p in panels.values()) + fsum(p[3] for p in frozen)
-        if total_err <= tol:
-            converged = True
+    # math.fsum is correctly rounded, so the order of the panels does not
+    # matter; a NaN error estimate keeps refining, up to max_panels
+    while not (error := fsum(-p[0] for p in heap + frozen)) <= tol:
+        if len(heap) + len(frozen) >= max_panels or not heap:
             break
-        if len(panels) + len(frozen) >= max_panels or not heap:
-            converged = False
-            break
-        _, idx = heapq.heappop(heap)
-        left, right, _, _ = panels.pop(idx)
+        _, _, left, right, _ = heapq.heappop(heap)
         mid = 0.5 * (left + right)
         push(left, mid)
         push(mid, right)
 
-    ordered = sorted([*panels.values(), *frozen], key=lambda p: (p[0], p[1]))
-    value = fsum(p[2] for p in ordered)
-    error = fsum(p[3] for p in ordered)
-    return QuadratureReport(value, error, evaluations, converged and error <= tol)
+    value = fsum(p[4] for p in heap + frozen)
+    return QuadratureReport(value, error, evaluations, error <= tol)
 
 
 def _jacobi_rule(n: int, beta: float):

@@ -17,7 +17,7 @@ from conedet import (
     zprime_a0,
     zprime_a0_IR,
 )
-from conedet.barnes import _bracket_coefficients
+from conedet.barnes import MAX_RATIONAL_TERMS, _bracket_coefficients
 from conedet import kernels
 from conftest import coprime_pairs
 
@@ -172,6 +172,13 @@ class TestRationalClosedForm:
         assert zprime0_rational(RationalOrder(1, q)) == pytest.approx(
             blf2(q, zp), abs=1e-12
         )
+
+
+    @pytest.mark.parametrize("p, q", [(100001, 1), (1, 100000), (50001, 50000)])
+    def test_term_limit(self, p, q):
+        assert p + q > MAX_RATIONAL_TERMS
+        with pytest.raises(DomainError, match="p \\+ q"):
+            zprime0_rational(RationalOrder(p, q))
 
 
 class TestIntegralRouteAnchors:

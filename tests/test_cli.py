@@ -4,12 +4,15 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
 import click
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import conedet
 from conedet.cli import main
@@ -317,6 +320,76 @@ class TestExitCodeTable:
     def test_unreadable_hyperbolic_input(self, runner, tmp_path):
         res = runner.invoke(main, ["det", "hyperbolic", "--input", str(tmp_path)])
         assert_one_json_error(res, 2, "usage")
+
+
+# Every command that takes --beta, with its other required options.
+BETA_COMMANDS = [
+    ["cbeta"],
+    ["det", "spindle"],
+    ["det", "spindle-area4pi"],
+    ["det", "disk", "--k", "0.5"],
+    ["distance", "spindle"],
+]
+
+
+class TestBetaOption:
+    """--beta is parsed once for every command: a plain integer is an exact
+    order, any other number a float, and anything else exits 2."""
+
+    def test_cbeta_integer_takes_the_rational_route(self, runner):
+        plain = json.loads(invoke(runner, ["cbeta", "--beta", "2"]).output)
+        pq = json.loads(invoke(runner, ["cbeta", "--beta", "2", "--p", "3", "--q", "1"]).output)
+        assert plain["meta"]["route"] == "rational"
+        assert plain == pq
+        zero = json.loads(invoke(runner, ["cbeta", "--beta", "0"]).output)
+        assert zero["payload"]["value"] == 0.0 and zero["meta"]["route"] == "rational"
+
+    def test_cbeta_float_takes_the_integral_route(self, runner):
+        res = json.loads(invoke(runner, ["cbeta", "--beta", "2.0"]).output)
+        assert res["meta"]["route"] == "integral"
+
+    @pytest.mark.parametrize("command", BETA_COMMANDS, ids=" ".join)
+    def test_non_numeric_beta_is_a_usage_error(self, runner, command):
+        res = runner.invoke(main, command + ["--beta", "abc"])
+        assert isinstance(res.exception, SystemExit), res.exc_info
+        assert res.exit_code == 2
+        assert "Traceback" not in res.output
+        assert "--beta" in res.output
+
+    @pytest.mark.parametrize("args", [
+        ["det", "spindle", "--beta", "100000000"],
+        ["barnes-zprime0", "--p", "100001", "--q", "1"],
+    ], ids=" ".join)
+    def test_rational_term_limit_exits_3_fast(self, runner, args):
+        started = time.perf_counter()
+        res = runner.invoke(main, args)
+        assert time.perf_counter() - started < 1.0
+        assert "p + q" in assert_one_json_error(res, 3, "domain")["message"]
+
+    @settings(deadline=None, max_examples=30)
+    @given(
+        command=st.sampled_from(BETA_COMMANDS),
+        text=st.one_of(
+            st.integers(-5, 1000).map(str),
+            st.integers(100_000, 10**12).map(str),
+            st.floats(-0.99, 1e5).map(repr),
+        ),
+    )
+    @example(command=["det", "spindle"], text="abc")
+    @example(command=["cbeta"], text="nan")
+    @example(command=["det", "spindle-area4pi"], text="inf")
+    @example(command=["det", "disk", "--k", "0.5"], text="1e400")
+    @example(command=["distance", "spindle"], text="-1")
+    @example(command=["cbeta"], text="2.0")
+    @example(command=["det", "spindle"], text="100000000")
+    def test_fuzz_ends_in_a_value_or_a_structured_error(self, command, text):
+        res = CliRunner().invoke(main, command + ["--beta", text])
+        assert res.exit_code in (0, 2, 3, 4), (text, res.output)
+        assert res.exception is None or isinstance(res.exception, SystemExit), res.exc_info
+        if res.exit_code != 2:
+            lines = res.stdout.splitlines()
+            assert len(lines) == 1
+            assert isinstance(json.loads(lines[0]), dict)
 
 
 # One fast invocation of every JSON command; FLAT and HYP stand for input files.

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from conedet import (
     ConeOrder,
+    ConfigurationError,
     DomainError,
     RationalOrder,
     SurfaceTopology,
@@ -66,6 +67,36 @@ class TestCBeta:
     def test_exact_field_must_match(self):
         with pytest.raises(DomainError):
             ConeOrder(beta=0.5, exact=RationalOrder(2, 1))
+
+
+class TestConeOrderOf:
+    """ConeOrder.of is the one conversion from a caller's beta to an order."""
+
+    def test_c_beta_vanishes_exactly_at_zero(self):
+        assert c_beta(0) == 0.0
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_plain_int_is_exact(self, n):
+        exact = ConeOrder.from_rational(RationalOrder(n + 1, 1))
+        assert ConeOrder.of(n) == exact
+        assert c_beta(n) == c_beta(exact)
+
+    def test_floats_and_orders(self):
+        assert ConeOrder.of(2.0) == ConeOrder(beta=2.0)
+        order = ConeOrder.from_rational(RationalOrder(3, 2))
+        assert ConeOrder.of(order) is order
+
+    @pytest.mark.parametrize("bad", [True, False, "0.5", None, 1j])
+    def test_rejects_bools_and_non_numbers(self, bad):
+        with pytest.raises(ConfigurationError):
+            ConeOrder.of(bad)
+        with pytest.raises(ConfigurationError):
+            c_beta(bad)
+
+    @pytest.mark.parametrize("bad", [-1, -5, 10**400])
+    def test_int_range(self, bad):
+        with pytest.raises(DomainError, match="cone order"):
+            ConeOrder.of(bad)
 
 
 class TestDiskZetaValues:

@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 
 from conedet import (
     ComparisonData,
+    ConeOrder,
     ConfigurationError,
     DiskConfig,
     DomainError,
     FlatSphereConfig,
     HyperbolicSummary,
+    RationalOrder,
     SpindleConfig,
     SurfaceTopology,
     c_beta,
@@ -51,6 +53,23 @@ class TestSpindleConfig:
         # structural detection: 2.0 is a float, so it claims a non-integer order
         with pytest.raises(ConfigurationError):
             SpindleConfig(beta=2.0, mu=0.5, curvature=1.0)
+
+    def test_exact_integer_order_allows_mu(self):
+        SpindleConfig(beta=ConeOrder.from_rational(RationalOrder(3, 1)), mu=0.5)
+        with pytest.raises(ConfigurationError):
+            SpindleConfig(beta=ConeOrder.from_rational(RationalOrder(3, 2)), mu=0.5)
+
+    def test_order_is_the_cone_order_of_beta(self):
+        assert SpindleConfig(beta=2).order == ConeOrder.of(2)
+        assert SpindleConfig(beta=2.0).order.exact is None
+        assert DiskConfig(2, 0.5).order.exact == RationalOrder(3, 1)
+
+    @pytest.mark.parametrize("bad", [True, "0.5", None])
+    def test_configs_reject_non_numbers(self, bad):
+        with pytest.raises(ConfigurationError):
+            SpindleConfig(beta=bad)
+        with pytest.raises(ConfigurationError):
+            DiskConfig(beta=bad, k=0.0)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(DomainError):

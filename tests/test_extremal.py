@@ -97,6 +97,11 @@ class TestFindLocalMax:
         assert report.tolerance_achieved <= 1e-8
         assert abs(report.location) <= report.tolerance_achieved
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_rejects_bad_tolerance(self, bad):
+        with pytest.raises(DomainError, match="tolerance"):
+            find_local_max(bad)
+
 
 class TestTaylorCheck:
     def test_coefficients(self, gamma):
