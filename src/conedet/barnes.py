@@ -18,14 +18,14 @@ serves as the convergent-region oracle (zeta_B(s;1,1,1) = zeta_R(s-1)).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import exp, factorial, fsum, isfinite, log, pi
+from math import factorial, fsum, isfinite, log
 
 import numpy as np
 
 from . import kernels
 from .constants import euler_gamma, zeta_prime_minus1
-from .errors import ConvergenceError, DomainError
-from .quadrature import check_tol, integrate_adaptive
+from .errors import ConvergenceError, DomainError, check_positive
+from .quadrature import integrate_adaptive
 from .special import LOG_2PI, RationalOrder, dedekind_sum, log_gamma, sawtooth
 
 __all__ = [
@@ -90,9 +90,8 @@ def barnes_J(a: float, tol: float = 1e-12) -> float:
     integral is truncated at X with the exponential tail bounded below
     tol/10 and the remainder integrated adaptively.
     """
-    if not (isfinite(a) and a > 0):
-        raise DomainError(f"J(a) requires a finite a > 0, got {a}")
-    check_tol(tol)
+    check_positive(a, "Barnes period a")
+    check_positive(tol, "tolerance")
     scale = max(1.0, a + 1.0 / a)
     x0, coeffs = _bracket_coefficients(a, tol / (20.0 * scale))
 
@@ -121,8 +120,7 @@ def barnes_J(a: float, tol: float = 1e-12) -> float:
 
 def zprime0_integral(a: float, tol: float = 1e-12) -> float:
     """zeta'_B(0; a, 1, 1) from the J(a) representation; error <= 2 tol."""
-    if not (isfinite(a) and a > 0):
-        raise DomainError(f"requires a finite a > 0, got {a}")
+    check_positive(a, "Barnes period a")
     g = euler_gamma()
     return fsum(
         [
@@ -190,8 +188,7 @@ def zprime_a0(a, tol: float = 1e-12) -> float:
     """Z'_a(0) = zeta'_B(0;a,1,1) - a zeta'_R(-1) + (a - 1/a) log(2)/12
     - (a - 1)/4 log(2 pi)."""
     av = a.value if isinstance(a, RationalOrder) else float(a)
-    if not (isfinite(av) and av > 0):
-        raise DomainError(f"requires a finite a > 0, got {a}")
+    check_positive(av, "Barnes period a")
     return fsum(
         [
             zprime0(a, tol),
@@ -208,8 +205,7 @@ def zprime_a0_IR(a: float, tol: float = 1e-12) -> float:
     - a (-gamma/6 - 5/24 + log(2 pi)/4 + zeta'_R(-1)).
     """
     a = float(a)
-    if not (isfinite(a) and a > 0):
-        raise DomainError(f"requires a finite a > 0, got {a}")
+    check_positive(a, "Barnes period a")
     g = euler_gamma()
     return fsum(
         [
@@ -263,10 +259,10 @@ def barnes_zeta_series(s: float, a: float, x: float, tol: float = 1e-10) -> floa
     (the antiderivative of zeta_H(s; a t + x) is zeta_H(s-1;.)/((s-1) a)).
     M doubles until the rigorous remainder bound is under tol.
     """
-    if s <= 2.0:
-        raise DomainError(f"double sum converges only for s > 2, got s={s}")
-    if a <= 0 or x <= 0:
-        raise DomainError("requires a > 0 and x > 0")
+    if not (isfinite(s) and s > 2.0):
+        raise DomainError(f"double sum converges only for finite s > 2, got s={s}")
+    check_positive(a, "a")
+    check_positive(x, "x")
     m_rows = 32
     while True:
         c = a * m_rows + x

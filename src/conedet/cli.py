@@ -24,7 +24,7 @@ import click
 
 from . import barnes, determinants, extremal, quadrature
 from .cone import ConeOrder, SurfaceTopology, c_beta_parts, heat_trace_a0, zeta0_surface
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, check_positive
 from .special import RationalOrder
 
 EXIT_DOMAIN = 3
@@ -76,7 +76,7 @@ def tol_option(default: float):
 
     def check(ctx, param, value):
         try:
-            quadrature.check_tol(value)
+            check_positive(value, "tolerance")
         except DomainError as err:
             _fail("domain", str(err), parameter="--tol")
         return value
@@ -131,6 +131,11 @@ def _beta_value(text: str):
         return int(text)
     except ValueError:
         return float(text)
+
+
+def _orders_value(text: str) -> list:
+    """Parse comma-separated cone orders, each as ``--beta`` is parsed."""
+    return [_beta_value(tok) for tok in text.split(",") if tok.strip()]
 
 
 # click turns the ValueError of a non-number into a usage error (exit 2)
@@ -194,14 +199,14 @@ def cbeta_cmd(beta, p, q, tol, breakdown):
 
 @main.command("zeta0")
 @click.option("--euler", type=int, required=True, help="Topological Euler characteristic.")
-@click.option("--orders", type=str, default="", help="Comma-separated cone orders.")
+@click.option("--orders", type=_orders_value, default="", metavar="LIST",
+              help="Comma-separated cone orders.")
 @click.option("--boundary/--closed", default=False)
 @click.option("--a0", "want_a0", is_flag=True, help="Also report the heat-trace constant.")
 @json_command
 def zeta0_cmd(euler, orders, boundary, want_a0):
     """zeta(0) of the surface Laplacian from topology and cone orders."""
-    parsed = [float(tok) for tok in orders.split(",") if tok.strip()]
-    topo = SurfaceTopology(euler_top=euler, orders=parsed, has_boundary=boundary)
+    topo = SurfaceTopology(euler_top=euler, orders=orders, has_boundary=boundary)
     payload = {"value": zeta0_surface(topo)}
     if want_a0:
         payload["heat_trace_a0"] = heat_trace_a0(topo)
@@ -315,11 +320,7 @@ def area_group():
 def area_flat_sphere(input_path, tol, mc_samples, mc_seed):
     """Improper plane integral of the flat conical density."""
     cfg = _flat_config(input_path)
-    report = quadrature.flat_sphere_area(cfg, tol)
-    if not report.converged:
-        raise ConvergenceError(
-            f"area quadrature did not converge (estimate {report.error_estimate:.3e})"
-        )
+    report = quadrature.flat_sphere_area(cfg, tol).require_converged("area")
     payload = {
         "value": report.value,
         "error_estimate": report.error_estimate,

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field
-from math import fsum, inf, isfinite, log
+from math import fsum, log
 
 from .barnes import barnes_tol, zprime0
 from .constants import zeta_prime_minus1
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DomainError, check_order, check_positive
 from .special import LOG_2PI, RationalOrder
 
 __all__ = [
@@ -27,20 +27,6 @@ __all__ = [
     "zeta_disk_at0",
     "zeta_disk_prime0",
 ]
-
-# C(beta) blows up at the angle-zero end; reject rather than overflow.
-_MIN_BETA = -1.0 + 1e-9
-
-
-def _check_beta(beta) -> float:
-    try:
-        beta = float(beta)
-    except OverflowError:  # an int beyond the float range
-        beta = inf
-    if not (isfinite(beta) and beta > _MIN_BETA):
-        raise DomainError(f"cone order {beta} must be finite and exceed -1 + 1e-9")
-    return beta
-
 
 @dataclass(frozen=True)
 class ConeOrder:
@@ -56,7 +42,7 @@ class ConeOrder:
     exact: RationalOrder | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "beta", _check_beta(self.beta))
+        object.__setattr__(self, "beta", check_order(self.beta))
         if self.exact is not None and self.exact.value - 1.0 != self.beta:
             raise DomainError(
                 f"exact order {self.exact.p}/{self.exact.q} does not match beta={self.beta}"
@@ -72,7 +58,7 @@ class ConeOrder:
         if isinstance(beta, bool) or not isinstance(beta, numbers.Real):
             raise ConfigurationError(f"cone order must be a real number, got {type(beta)!r}")
         if isinstance(beta, int):
-            _check_beta(beta)
+            check_order(beta)
             return cls.from_rational(RationalOrder(beta + 1, 1))
         return cls(beta=beta)
 
@@ -175,6 +161,5 @@ def rescale_logdet(logdet: float, zeta0: float, r: float) -> float:
     """log-determinant after scaling the metric by r^2:
     eigenvalues scale by r^-2, so zeta'(0) gains 2 zeta(0) log r and the
     log-determinant drops by the same amount."""
-    if r <= 0:
-        raise DomainError(f"scale factor must be positive, got {r}")
+    check_positive(r, "scale factor")
     return logdet - 2.0 * zeta0 * log(r)

@@ -17,7 +17,7 @@ from math import atan, exp, fsum, isfinite, log, pi, sqrt
 from .barnes import barnes_tol, zprime0, zprime_a0
 from .cone import ConeOrder, c_beta
 from .constants import zeta_prime_minus1
-from .errors import ConfigurationError, ConvergenceError, DomainError
+from .errors import ConfigurationError, DomainError, check_order, check_positive
 from .quadrature import FlatSphereConfig, flat_sphere_area
 from .special import LOG_2PI
 
@@ -146,9 +146,7 @@ def spindle_asymptotic(beta: float, mu: float = 0.0, regime: str = "beta_to_minu
         -(1/6)(a - 1/a) log(1 + mu^2/a) + (1/6)(a + 1/a) log a
         + (1/6 + 4 zeta'_R(-1)) a + log(2 pi).
     """
-    a = float(beta) + 1.0
-    if a <= 0:
-        raise DomainError(f"beta={beta} out of range")
+    a = check_order(beta) + 1.0
     zp = zeta_prime_minus1()
     if regime == "beta_to_minus1":
         return fsum(
@@ -199,12 +197,7 @@ def _pairwise_log_sum(cfg: FlatSphereConfig) -> float:
 def _resolve_area(cfg: FlatSphereConfig, tol: float, area) -> float:
     if area is not None:
         return float(area)
-    report = flat_sphere_area(cfg, tol)
-    if not report.converged:
-        raise ConvergenceError(
-            f"area quadrature did not converge (estimate {report.error_estimate:.3e})"
-        )
-    return report.value
+    return flat_sphere_area(cfg, tol).require_converged("area").value
 
 
 def logdet_flat_sphere(cfg: FlatSphereConfig, tol: float = 1e-8, *, area=None) -> LogDet:
@@ -294,8 +287,7 @@ def logdet_flat_disk(radius: float) -> float:
     """Dirichlet log-determinant of the flat disk of given radius:
     -(1/3) log(radius) + (1/3) log 2 - zeta'_<(0, 0),
     where zeta'_<(0,0) = 2 zeta'_R(-1) + 5/12 + log(2 pi)/2."""
-    if not (isfinite(radius) and radius > 0):
-        raise DomainError(f"radius must be finite and positive, got {radius}")
+    check_positive(radius, "radius")
     zeta_disk0_prime = 2.0 * zeta_prime_minus1() + 5.0 / 12.0 + 0.5 * LOG_2PI
     return -log(radius) / 3.0 + log(2.0) / 3.0 - zeta_disk0_prime
 
@@ -319,18 +311,15 @@ class HyperbolicSummary:
     liouville_integral: float
 
     def __init__(self, orders, phi_consts, liouville_integral):
-        object.__setattr__(self, "orders", tuple(float(b) for b in orders))
+        object.__setattr__(self, "orders", tuple(check_order(b) for b in orders))
         object.__setattr__(self, "phi_consts", tuple(float(c) for c in phi_consts))
         object.__setattr__(self, "liouville_integral", float(liouville_integral))
         if len(self.orders) < 3:
             raise ConfigurationError("need n >= 3 conical singularities")
         if len(self.orders) != len(self.phi_consts):
             raise ConfigurationError("orders and phi_consts must have equal length")
-        values = (*self.orders, *self.phi_consts, self.liouville_integral)
-        if not all(isfinite(v) for v in values):
-            raise ConfigurationError("orders, phi_consts and liouville_integral must be finite")
-        if any(b <= -1.0 for b in self.orders):
-            raise ConfigurationError("every order must exceed -1")
+        if not all(isfinite(v) for v in (*self.phi_consts, self.liouville_integral)):
+            raise ConfigurationError("phi_consts and liouville_integral must be finite")
         if fsum(self.orders) >= -2.0:
             raise ConfigurationError(
                 f"hyperbolic metrics require sum of orders < -2, got {fsum(self.orders)}"
@@ -371,8 +360,8 @@ def pullback_constant_C(logdet_phi: float, degree: float) -> float:
     """Variational constant of the degree-two covering family:
     C = -2^(2/3) e^(6 zeta'_R(-1)) (det)^2 / (2 + |b|), positive for
     degree < -2."""
-    if 2.0 + degree >= 0.0:
-        raise DomainError(f"degree must lie below -2, got {degree}")
+    if not (isfinite(degree) and 2.0 + degree < 0.0):
+        raise DomainError(f"degree must be finite and below -2, got {degree}")
     return -(2.0 ** (2.0 / 3.0)) * exp(6.0 * zeta_prime_minus1()) / (2.0 + degree) * exp(
         2.0 * logdet_phi
     )
@@ -381,10 +370,8 @@ def pullback_constant_C(logdet_phi: float, degree: float) -> float:
 def logdet_pullback(c: float, mu: float, phi_at_0: float, phi_at_1_over_mu: float) -> float:
     """log det of the pulled-back metric:
     log C - log(mu)/2 + (phi(0) + phi(1/mu))/4."""
-    if c <= 0:
-        raise DomainError(f"constant C must be positive, got {c}")
-    if mu <= 0:
-        raise DomainError(f"mu must be positive, got {mu}")
+    check_positive(c, "constant C")
+    check_positive(mu, "mu")
     return log(c) - 0.5 * log(mu) + 0.25 * (phi_at_0 + phi_at_1_over_mu)
 
 
@@ -416,14 +403,14 @@ class ComparisonData:
         object.__setattr__(
             self,
             "singularities",
-            tuple((float(b), float(u), float(v)) for b, u, v in self.singularities),
+            tuple((check_order(b), float(u), float(v)) for b, u, v in self.singularities),
         )
-        if not self.has_boundary and any(
-            x != 0.0 for x in (self.boundary_quad, self.boundary_geo, self.boundary_normal)
-        ):
+        boundary = (self.boundary_quad, self.boundary_geo, self.boundary_normal)
+        potentials = (x for _, u, v in self.singularities for x in (u, v))
+        if not all(isfinite(x) for x in (self.bulk_phi, self.bulk_0, *boundary, *potentials)):
+            raise ConfigurationError("integrals and potential constants must be finite")
+        if not self.has_boundary and any(x != 0.0 for x in boundary):
             raise ConfigurationError("boundary integrals must vanish on a closed surface")
-        if any(b <= -1.0 for b, _, _ in self.singularities):
-            raise DomainError("every order must exceed -1")
 
 
 def _singular_bracket(sings) -> float:

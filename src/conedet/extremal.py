@@ -12,8 +12,7 @@ from math import exp
 from .cone import c_beta
 from .constants import euler_gamma
 from .determinants import logdet_spindle_area4pi
-from .errors import ConvergenceError, DomainError
-from .quadrature import check_tol
+from .errors import ConvergenceError, DomainError, check_order, check_positive
 
 __all__ = [
     "ExtremumReport",
@@ -45,8 +44,8 @@ class ScanGrid:
             raise DomainError("scan grid requires start < stop")
         if self.steps < 2:
             raise DomainError("scan grid requires at least 2 steps")
-        if self.param == "beta" and self.start <= -1.0 + 1e-6:
-            raise DomainError("beta scans must stay above -1 + 1e-6")
+        if self.param == "beta":
+            check_order(self.start)
         if self.param == "mu" and self.start < 0.0:
             raise DomainError("mu scans must be nonnegative")
 
@@ -118,7 +117,7 @@ def find_local_max(tol: float = 1e-8) -> ExtremumReport:
     noise floor ~sqrt(eps), so the vertex is then refined by
     Richardson-extrapolated three-point parabolic fits.
     """
-    check_tol(tol)
+    check_positive(tol, "tolerance")
     lo, hi = -0.7, 0.7
     cache: dict = {}
 

@@ -38,7 +38,7 @@ from math import fsum, inf, isfinite, log, pi
 import numpy as np
 
 from . import kernels
-from .errors import ConfigurationError, ConvergenceError, DomainError
+from .errors import ConfigurationError, ConvergenceError, DomainError, check_order, check_positive
 
 __all__ = [
     "FlatSphereConfig",
@@ -93,6 +93,14 @@ class QuadratureReport:
     evaluations: int
     converged: bool
 
+    def require_converged(self, what: str) -> "QuadratureReport":
+        """This report, or ConvergenceError naming ``what`` if it did not converge."""
+        if not self.converged:
+            raise ConvergenceError(
+                f"{what} quadrature did not converge (estimate {self.error_estimate:.3e})"
+            )
+        return self
+
 
 def _gk15_panel(f, a: float, b: float):
     """One Gauss-Kronrod step on [a, b]: (K15 value, error estimate)."""
@@ -112,12 +120,6 @@ def _gk15_panel(f, a: float, b: float):
     return resk * h, err
 
 
-def check_tol(tol: float) -> None:
-    """Raise DomainError unless ``tol`` is a finite positive number."""
-    if not (isfinite(tol) and tol > 0):
-        raise DomainError(f"tolerance must be finite and positive, got {tol}")
-
-
 def integrate_adaptive(
     f,
     a: float,
@@ -132,7 +134,7 @@ def integrate_adaptive(
     Both endpoints must be finite.  Non-convergence is reported through
     ``converged=False``, never as a silently wrong value.
     """
-    check_tol(tol)
+    check_positive(tol, "tolerance")
     if not (isfinite(a) and isfinite(b)):
         raise DomainError(f"integration limits must be finite, got [{a}, {b}]")
     if not a < b:
@@ -226,10 +228,8 @@ class FlatSphereConfig:
             raise ConfigurationError("points and orders must have equal length")
         if not all(isfinite(v) for p in self.points for v in (p.real, p.imag)):
             raise ConfigurationError("every point must be finite")
-        if not all(isfinite(b) for b in self.orders):
-            raise ConfigurationError("every order must be finite")
-        if any(b <= -1.0 for b in self.orders):
-            raise ConfigurationError("every order must exceed -1")
+        for b in self.orders:
+            check_order(b)
         if abs(fsum(self.orders) + 2.0) > 1e-12:
             raise ConfigurationError(f"orders must sum to -2, got {fsum(self.orders)!r}")
         for i in range(n):
@@ -362,7 +362,7 @@ def flat_sphere_area(cfg: FlatSphereConfig, tol: float = 1e-8) -> QuadratureRepo
     radial weight), exterior chart w = 1/z around infinity, and the
     windowed middle region in polar coordinates about the origin.
     """
-    check_tol(tol)
+    check_positive(tol, "tolerance")
     radii = cfg.patch_radii()
     big_r = cfg.outer_radius()
     n = len(cfg.points)

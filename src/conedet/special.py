@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import floor, fsum, gcd, log, nextafter, pi
 
-from .errors import DomainError
+from .errors import DomainError, check_positive
 
 __all__ = [
     "RationalOrder",
@@ -29,8 +29,9 @@ class RationalOrder:
     q: int
 
     def __post_init__(self):
-        if self.p < 1 or self.q < 1:
-            raise DomainError(f"rational order must be positive, got {self.p}/{self.q}")
+        p, q = self.p, self.q
+        if not (isinstance(p, int) and isinstance(q, int) and p >= 1 and q >= 1):
+            raise DomainError(f"rational order must be positive integers, got {self.p}/{self.q}")
         if gcd(self.p, self.q) != 1:
             raise DomainError(f"{self.p}/{self.q} is not in lowest terms")
 
@@ -67,8 +68,7 @@ def log_gamma(x: float) -> float:
     (2e-18 relative), so the relative error on (0, 100] is dominated by
     recurrence roundoff, a few ulp and comfortably under 1e-13.
     """
-    if x <= 0.0:
-        raise DomainError(f"log_gamma requires x > 0, got {x}")
+    check_positive(x, "log_gamma argument")
     shift = 0.0
     y = float(x)
     if y < 10.0:
@@ -93,8 +93,7 @@ def hurwitz_zero_values(x: float) -> tuple[float, float]:
     Closed forms: zeta_H(0; x) = 1/2 - x and
     zeta'_H(0; x) = log Gamma(x) - log(2 pi)/2.
     """
-    if x <= 0.0:
-        raise DomainError(f"hurwitz_zero_values requires x > 0, got {x}")
+    check_positive(x, "hurwitz_zero_values argument")
     return 0.5 - x, log_gamma(x) - _HALF_LOG_2PI
 
 

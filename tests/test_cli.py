@@ -356,6 +356,18 @@ class TestBetaOption:
         assert "Traceback" not in res.output
         assert "--beta" in res.output
 
+    @pytest.mark.parametrize("orders", ["abc", "0.5,abc", "1,,x"])
+    def test_non_numeric_orders_is_a_usage_error(self, runner, orders):
+        res = runner.invoke(main, ["zeta0", "--euler", "2", "--orders", orders])
+        assert isinstance(res.exception, SystemExit), res.exc_info
+        assert res.exit_code == 2
+        assert "Traceback" not in res.output
+        assert "--orders" in res.output
+
+    def test_orders_parse_like_beta(self, runner):
+        res = invoke(runner, ["zeta0", "--euler", "2", "--orders", " 1, 0.5,", "--closed"])
+        assert payload(res)["value"] == -0.611111111111111
+
     @pytest.mark.parametrize("args", [
         ["det", "spindle", "--beta", "100000000"],
         ["barnes-zprime0", "--p", "100001", "--q", "1"],
