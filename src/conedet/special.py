@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, fsum, gcd, log, nextafter, pi
+from math import floor, gcd, lgamma, log, pi
 
 from .errors import DomainError, check_positive
 
@@ -31,7 +31,7 @@ class RationalOrder:
     def __post_init__(self):
         p, q = self.p, self.q
         if not (isinstance(p, int) and isinstance(q, int) and p >= 1 and q >= 1):
-            raise DomainError(f"rational order must be positive integers, got {self.p}/{self.q}")
+            raise DomainError(f"rational order must be positive integers, got {p}/{q}")
         if gcd(self.p, self.q) != 1:
             raise DomainError(f"{self.p}/{self.q} is not in lowest terms")
 
@@ -43,48 +43,10 @@ class RationalOrder:
         return Fraction(self.p, self.q)
 
 
-# Stirling series coefficients B_{2k} / ((2k-1)(2k)) for k = 1..7.
-_STIRLING = (
-    1.0 / 12.0,
-    -1.0 / 360.0,
-    1.0 / 1260.0,
-    -1.0 / 1680.0,
-    1.0 / 1188.0,
-    -691.0 / 360360.0,
-    1.0 / 156.0,
-)
-
-_HALF_LOG_2PI = 0.5 * LOG_2PI
-
-
 def log_gamma(x: float) -> float:
-    """Natural log of the gamma function for x > 0.
-
-    Stirling's series with upward recurrence: arguments below 10 are shifted
-    up via log Gamma(x) = log Gamma(x + m) - sum log(x + j), then
-        log Gamma(y) = (y - 1/2) log y - y + log(2 pi)/2
-                       + sum_k B_2k / ((2k-1)(2k) y^(2k-1)).
-    For y >= 10 the first omitted term (k = 8) is below 3e-17 absolute
-    (2e-18 relative), so the relative error on (0, 100] is dominated by
-    recurrence roundoff, a few ulp and comfortably under 1e-13.
-    """
+    """Natural log of the gamma function for finite x > 0 (``math.lgamma``)."""
     check_positive(x, "log_gamma argument")
-    shift = 0.0
-    y = float(x)
-    if y < 10.0:
-        logs = []
-        while y < 10.0:
-            logs.append(log(y))
-            y += 1.0
-        shift = fsum(logs)
-    inv = 1.0 / y
-    inv2 = inv * inv
-    series = 0.0
-    p = inv
-    for c in _STIRLING:
-        series += c * p
-        p *= inv2
-    return (y - 0.5) * log(y) - y + _HALF_LOG_2PI + series - shift
+    return lgamma(x)
 
 
 def hurwitz_zero_values(x: float) -> tuple[float, float]:
@@ -94,32 +56,20 @@ def hurwitz_zero_values(x: float) -> tuple[float, float]:
     zeta'_H(0; x) = log Gamma(x) - log(2 pi)/2.
     """
     check_positive(x, "hurwitz_zero_values argument")
-    return 0.5 - x, log_gamma(x) - _HALF_LOG_2PI
+    return 0.5 - x, log_gamma(x) - 0.5 * LOG_2PI
 
 
-def sawtooth(x):
+def sawtooth(x) -> Fraction:
     """The symbol ((x)): x - floor(x) - 1/2 for non-integer x, 0 at integers.
 
-    An int or Fraction argument is treated exactly and returns a Fraction;
-    a float argument returns a float.  Pass the exact form whenever x may
-    sit at or near an integer: ((.)) is discontinuous there and floats
-    cannot distinguish the two sides reliably.
+    Exact: x (an int, a Fraction or a float taken at its binary value) is
+    turned into a Fraction, and so is the result.  ((.)) is discontinuous
+    at the integers, where floats cannot tell the two sides apart.
     """
-    if isinstance(x, int):
+    x = Fraction(x)
+    if x.denominator == 1:
         return Fraction(0)
-    if isinstance(x, Fraction):
-        if x.denominator == 1:
-            return Fraction(0)
-        return x - floor(x) - Fraction(1, 2)
-    xf = float(x)
-    if xf == floor(xf):
-        return 0.0
-    v = xf - floor(xf) - 0.5
-    # x just below an integer has true value just below 1/2, but the
-    # fractional part rounds up to 1; keep the contract v < 1/2
-    if v >= 0.5:
-        v = nextafter(0.5, 0.0)
-    return v
+    return x - floor(x) - Fraction(1, 2)
 
 
 def dedekind_sum(q: int, p: int) -> Fraction:
