@@ -9,11 +9,9 @@ import pytest
 from conedet import (
     ComparisonData,
     ConeOrder,
-    ConvergenceError,
     DomainError,
     FlatSphereConfig,
     HyperbolicSummary,
-    QuadratureReport,
     RationalOrder,
     ScanGrid,
     barnes_J,
@@ -91,10 +89,3 @@ def test_rejects_non_finite_and_boundary_values(call, value):
     with pytest.raises(DomainError):
         call(value)
 
-
-def test_unconverged_report_raises():
-    report = QuadratureReport(value=1.0, error_estimate=0.5, evaluations=15, converged=False)
-    with pytest.raises(ConvergenceError, match="^area quadrature did not converge"):
-        report.require_converged("area")
-    done = QuadratureReport(value=1.0, error_estimate=0.0, evaluations=15, converged=True)
-    assert done.require_converged("area") is done

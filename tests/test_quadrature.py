@@ -5,6 +5,7 @@ import pytest
 
 from conedet import (
     ConfigurationError,
+    ConvergenceError,
     DomainError,
     FlatSphereConfig,
     flat_sphere_area,
@@ -366,3 +367,14 @@ class TestMonteCarlo:
             est, se = flat_sphere_area_mc(cfg, 2 * 10**5, seed=1000 + trial)
             assert det.converged
             assert abs(est - det.value) <= 3.0 * math.hypot(se, det.error_estimate), trial
+
+
+def test_unconverged_report_raises():
+    """The one unconverged-quadrature error, shared by logdet_flat_sphere and
+    the area CLI command."""
+    report = quadrature.QuadratureReport(1.0, 0.5, 15, converged=False)
+    message = r"^area quadrature did not converge \(estimate 5.000e-01\)$"
+    with pytest.raises(ConvergenceError, match=message):
+        report.require_converged("area")
+    done = quadrature.QuadratureReport(1.0, 0.0, 15, converged=True)
+    assert done.require_converged("area") is done
