@@ -32,8 +32,8 @@ class RationalOrder:
         p, q = self.p, self.q
         if not (isinstance(p, int) and isinstance(q, int) and p >= 1 and q >= 1):
             raise DomainError(f"rational order must be positive integers, got {p}/{q}")
-        if gcd(self.p, self.q) != 1:
-            raise DomainError(f"{self.p}/{self.q} is not in lowest terms")
+        if gcd(p, q) != 1:
+            raise DomainError(f"{p}/{q} is not in lowest terms")
 
     @property
     def value(self) -> float:
