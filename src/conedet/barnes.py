@@ -17,10 +17,9 @@ serves as the convergent-region oracle (zeta_B(s;1,1,1) = zeta_R(s-1)).
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
-from math import factorial, fsum, isfinite, log
-
-import numpy as np
+from math import expm1, factorial, fsum, isfinite, log
 
 from . import kernels
 from .constants import euler_gamma, zeta_prime_minus1
@@ -42,6 +41,8 @@ __all__ = [
 # The closed form sums p + q terms in Python loops (the Dedekind sum and the
 # log-gamma sums); past this many it runs for seconds, growing linearly.
 MAX_RATIONAL_TERMS = 100_000
+
+_LOG_MAX_FLOAT = log(sys.float_info.max)
 
 # B_4, B_6, ..., B_24: enough series terms for the J(a) bracket at the
 # crossover radius used below (terms shrink by >= two decades each).
@@ -77,7 +78,7 @@ def _bracket_coefficients(a: float, tol: float):
     x0 = 0.35 * min(a, 1.0)
     while abs(gs[-1]) * x0 ** (2 * len(gs)) > tol and x0 > 1e-30:
         x0 *= 0.7
-    return x0, np.array(gs[:-1])
+    return x0, tuple(gs[:-1])
 
 
 def barnes_J(a: float, tol: float = 1e-12) -> float:
@@ -100,7 +101,11 @@ def barnes_J(a: float, tol: float = 1e-12) -> float:
     upper = max(40.0, log(10.0 * scale / tol) + 5.0)
 
     def integrand(x):
-        return kernels.j_bracket(x, a, x0, coeffs) / np.expm1(x)
+        # past log(max float), e^x - 1 overflows and the integrand is 0
+        return [
+            v / expm1(t) if t <= _LOG_MAX_FLOAT else 0.0
+            for v, t in zip(kernels.j_bracket(x, a, x0, coeffs), x)
+        ]
 
     breaks = []
     edge = x0

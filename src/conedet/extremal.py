@@ -7,7 +7,7 @@ finite-difference recovery of the expansion coefficients at beta = 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp
+from math import exp, isfinite
 
 from .cone import c_beta
 from .constants import euler_gamma
@@ -40,6 +40,10 @@ class ScanGrid:
     def __post_init__(self):
         if self.param not in ("beta", "mu"):
             raise DomainError(f"unknown scan parameter {self.param!r}")
+        if not (isfinite(self.start) and isfinite(self.stop)):
+            raise DomainError(
+                f"scan grid requires finite start and stop, got {self.start}, {self.stop}"
+            )
         if not self.start < self.stop:
             raise DomainError("scan grid requires start < stop")
         if self.steps < 2:
@@ -78,7 +82,11 @@ def _row_value(target: str, grid: ScanGrid, x: float) -> float:
         beta, mu = x, grid.fixed_other
     else:
         beta, mu = grid.fixed_other, x
-    return exp(logdet_spindle_area4pi(beta, mu).total)
+    logdet = logdet_spindle_area4pi(beta, mu).total
+    try:
+        return exp(logdet)
+    except OverflowError:
+        raise DomainError(f"determinant overflows: log-determinant {logdet!r}") from None
 
 
 def scan_curve(target: str, grid: ScanGrid) -> ScanResult:

@@ -31,11 +31,10 @@ compensated (math.fsum) in a fixed order.
 from __future__ import annotations
 
 import heapq
+import sys
 from dataclasses import dataclass
 from itertools import count
 from math import fsum, inf, isfinite, log, pi
-
-import numpy as np
 
 from . import kernels
 from .errors import ConfigurationError, ConvergenceError, DomainError, check_order, check_positive
@@ -76,12 +75,13 @@ _G7_WEIGHTS_HALF = (
     0.417959183673469387755102040816327,
 )
 
-_XGK = np.array([-x for x in _K15_NODES_HALF[:-1]] + [0.0] + [x for x in reversed(_K15_NODES_HALF[:-1])])
-_WGK = np.array(list(_K15_WEIGHTS_HALF[:-1]) + [_K15_WEIGHTS_HALF[-1]] + list(reversed(_K15_WEIGHTS_HALF[:-1])))
-_WG = np.zeros(15)
-_WG[1:14:2] = list(_G7_WEIGHTS_HALF[:-1]) + [_G7_WEIGHTS_HALF[-1]] + list(reversed(_G7_WEIGHTS_HALF[:-1]))
+_XGK = tuple(-x for x in _K15_NODES_HALF[:-1]) + (0.0,) + tuple(reversed(_K15_NODES_HALF[:-1]))
+_WGK = _K15_WEIGHTS_HALF + tuple(reversed(_K15_WEIGHTS_HALF[:-1]))
+# the G7 nodes are the Kronrod nodes of odd index; the others weigh 0
+_G7_WEIGHTS = _G7_WEIGHTS_HALF + tuple(reversed(_G7_WEIGHTS_HALF[:-1]))
+_WG = tuple(w for g in _G7_WEIGHTS for w in (0.0, g)) + (0.0,)
 
-_EPS = np.finfo(float).eps
+_EPS = sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -103,15 +103,19 @@ class QuadratureReport:
 
 
 def _gk15_panel(f, a: float, b: float):
-    """One Gauss-Kronrod step on [a, b]: (K15 value, error estimate)."""
+    """One Gauss-Kronrod step on [a, b]: (K15 value, error estimate).
+
+    ``f`` gets the 15 nodes as a list of floats and returns 15 values.
+    """
     h = 0.5 * (b - a)
     c = 0.5 * (a + b)
-    x = c + h * _XGK
-    fx = np.asarray(f(x), dtype=float)
-    resk = float(_WGK @ fx)
-    resg = float(_WG @ fx)
-    resabs = float(_WGK @ np.abs(fx))
-    resasc = float(_WGK @ np.abs(fx - 0.5 * resk))
+    fx = f([c + h * x for x in _XGK])
+    if len(fx) != 15:
+        raise ValueError(f"integrand returned {len(fx)} values for 15 nodes")
+    resk = fsum(w * v for w, v in zip(_WGK, fx))
+    resg = fsum(w * v for w, v in zip(_WG, fx))
+    resabs = fsum(w * abs(v) for w, v in zip(_WGK, fx))
+    resasc = fsum(w * abs(v - 0.5 * resk) for w, v in zip(_WGK, fx))
     err = abs(resk - resg) * h
     resasc *= h
     if resasc != 0.0 and err != 0.0:
@@ -129,9 +133,11 @@ def integrate_adaptive(
     initial_breakpoints=None,
     max_panels: int = 4000,
 ) -> QuadratureReport:
-    """Adaptive Gauss-Kronrod integral of a vectorized callable on [a, b].
+    """Adaptive Gauss-Kronrod integral of ``f`` on [a, b].
 
-    Both endpoints must be finite.  Non-convergence is reported through
+    ``f`` gets a list of 15 floats, the nodes of one panel, and returns
+    their 15 values; any other count raises ValueError.  Both endpoints
+    must be finite.  Non-convergence is reported through
     ``converged=False``, never as a silently wrong value.
     """
     check_positive(tol, "tolerance")
@@ -187,6 +193,8 @@ def _jacobi_rule(n: int, beta: float):
     the weight's mass 2^(beta+1)/(beta+1) times the squared first component
     of the node's normalized eigenvector.
     """
+    import numpy as np
+
     k = np.arange(n, dtype=float)
     s = 2.0 * k + beta
     diag = np.empty(n)
@@ -252,6 +260,8 @@ class FlatSphereConfig:
 
 def _window(t):
     """C^inf step: 1 for t <= 1/2, 0 for t >= 1, exp-smooth between."""
+    import numpy as np
+
     t = np.asarray(t, dtype=float)
     out = np.zeros_like(t)
     out[t <= 0.5] = 1.0
@@ -280,6 +290,8 @@ def _patch_term(cfg: FlatSphereConfig, j: int, radius: float, tol: float):
     means at its nodes come from _theta_means, with a row tolerance that
     keeps their weighted sum within the other tol/2.
     """
+    import numpy as np
+
     pj = cfg.points[j]
     alpha = 2.0 * cfg.orders[j] + 1.0
     scale = 2.0 * pi * (0.5 * radius) ** (alpha + 1.0)
@@ -315,6 +327,8 @@ def _theta_means(fn, rs, tol: float, cap: int = 1 << 14):
     only rows still refining get new points.  Returns the means, the summed
     evaluation count and whether every row converged before ``cap``.
     """
+    import numpy as np
+
     col = rs[:, None]
     m = 32
     means = fn(col, 2.0 * pi * np.arange(m) / m).mean(axis=1)
@@ -339,11 +353,14 @@ def _polar_iterated(fn, r_hi: float, tol: float, breakpoints=()):
     radial nodes of a panel in one call with ``r`` as a column and
     ``theta`` as a row; each node's row stops on its own.
     """
+    import numpy as np
+
     inner_tol = tol / (4.0 * pi * r_hi * r_hi)
     evals = [0]
     inner_ok = [True]
 
     def radial(rs):
+        rs = np.asarray(rs)
         means, n, ok = _theta_means(fn, rs, inner_tol)
         evals[0] += n
         inner_ok[0] = inner_ok[0] and ok
@@ -362,6 +379,8 @@ def flat_sphere_area(cfg: FlatSphereConfig, tol: float = 1e-8) -> QuadratureRepo
     radial weight), exterior chart w = 1/z around infinity, and the
     windowed middle region in polar coordinates about the origin.
     """
+    import numpy as np
+
     check_positive(tol, "tolerance")
     radii = cfg.patch_radii()
     big_r = cfg.outer_radius()
@@ -433,6 +452,8 @@ def flat_sphere_area_mc(cfg: FlatSphereConfig, samples: int, seed: int):
     integrand-over-proposal ratio is bounded, so the reported standard
     error is an honest CLT estimate.  Deterministic for a fixed seed.
     """
+    import numpy as np
+
     if samples < 10**4:
         raise DomainError(f"need at least 1e4 samples, got {samples}")
     rng = np.random.default_rng(seed)

@@ -21,6 +21,11 @@ __all__ = [
 LOG_2PI = log(2.0 * pi)
 
 
+def _positive_ints(*values) -> bool:
+    """Whether every value is a plain int (not a bool) of at least 1."""
+    return all(isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in values)
+
+
 @dataclass(frozen=True)
 class RationalOrder:
     """An exact positive rational p/q in lowest terms."""
@@ -30,7 +35,7 @@ class RationalOrder:
 
     def __post_init__(self):
         p, q = self.p, self.q
-        if not (isinstance(p, int) and isinstance(q, int) and p >= 1 and q >= 1):
+        if not _positive_ints(p, q):
             raise DomainError(f"rational order must be positive integers, got {p}/{q}")
         if gcd(p, q) != 1:
             raise DomainError(f"{p}/{q} is not in lowest terms")
@@ -75,9 +80,10 @@ def sawtooth(x) -> Fraction:
 def dedekind_sum(q: int, p: int) -> Fraction:
     """Dedekind sum S(q, p) = sum_{j=1..p} ((j/p)) ((j q/p)), exact.
 
-    Requires gcd(p, q) = 1; computed entirely in rational arithmetic.
+    Requires positive ints (not bools) with gcd(p, q) = 1; computed
+    entirely in rational arithmetic.
     """
-    if p < 1 or q < 1:
+    if not _positive_ints(q, p):
         raise DomainError(f"dedekind_sum requires positive integers, got q={q}, p={p}")
     if gcd(p, q) != 1:
         raise DomainError(f"dedekind_sum requires gcd(p, q) = 1, got q={q}, p={p}")

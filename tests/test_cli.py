@@ -496,6 +496,43 @@ def test_scipy_stays_off_the_import_path():
     }
 
 
+NUMPY_PROBE = """
+import json, sys
+loaded = {}
+import conedet
+loaded["import conedet"] = "numpy" in sys.modules
+import conedet.cli
+loaded["import conedet.cli"] = "numpy" in sys.modules
+for argv in (["cbeta", "--beta", "0.5"], ["scan", "fixed-area"], ["barnes-zprime0", "--a", "1.37"]):
+    conedet.cli.main(argv, standalone_mode=False)
+    loaded[" ".join(argv)] = "numpy" in sys.modules
+cfg = conedet.FlatSphereConfig(points=[0j, 1 + 0j, -1 + 0j], orders=[-2 / 3] * 3)
+conedet.flat_sphere_area(cfg, 1e-6)
+loaded["flat_sphere_area"] = "numpy" in sys.modules
+print(json.dumps(loaded))
+"""
+
+
+def test_numpy_loads_only_for_the_flat_sphere_area():
+    """J(a), the closed forms and the scans run on Python floats; NumPy is
+    first imported by the flat-sphere area. A fresh interpreter is needed
+    because this test process already holds NumPy."""
+    src = str(Path(conedet.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE], env=env,
+                          capture_output=True, text=True, check=True)
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert loaded == {
+        "import conedet": False,
+        "import conedet.cli": False,
+        "cbeta --beta 0.5": False,
+        "scan fixed-area": False,
+        "barnes-zprime0 --a 1.37": False,
+        "flat_sphere_area": True,
+    }
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "args",
@@ -534,6 +571,18 @@ class TestCsvOutput:
         x, v = lines[3].split(",")
         assert float(x) == 0.0
         assert float(v) == pytest.approx(math.exp(1.1616845748018039), rel=1e-12)
+
+    def test_overflowing_row_is_skipped(self, runner):
+        # near beta = -1 the fixed-area log-determinant passes 709, so
+        # exp(logdet) overflows; that row is skipped with its log value
+        res = invoke(runner, ["scan", "fixed-area", "--start", "-0.9999", "--stop", "0", "--steps", "3"])
+        assert res.exit_code == 0
+        lines = res.output.splitlines()
+        skipped = [line for line in lines if line.startswith("# skipped")]
+        assert len(skipped) == 1
+        assert skipped[0].startswith("# skipped -0.9999")
+        assert "log-determinant" in skipped[0]
+        assert len(lines) == 5
 
     def test_json_round_trip_full_precision(self, runner):
         res = invoke(runner, ["barnes-zprime0", "--p", "7", "--q", "4"])

@@ -17,6 +17,7 @@ from conedet import (
     barnes_J,
     barnes_zeta_series,
     c_beta,
+    dedekind_sum,
     find_local_max,
     flat_sphere_area,
     hurwitz_zero_values,
@@ -49,6 +50,8 @@ GUARDED = [
     ("ComparisonData(singularities=(({}, 0, 0),))",
      lambda v: ComparisonData(singularities=((v, 0.0, 0.0),)), -1.0),
     ("ScanGrid(start={})", lambda v: ScanGrid(param="beta", start=v, stop=1.0, steps=3), -1.0),
+    ("ScanGrid(stop={})", lambda v: ScanGrid(param="beta", start=0.0, stop=v, steps=3)),
+    ("ScanGrid(param='mu', stop={})", lambda v: ScanGrid(param="mu", start=0.0, stop=v, steps=3)),
     ("spindle_asymptotic({})", spindle_asymptotic, -1.0),
     # tolerances
     ("integrate_adaptive(tol={})", lambda v: integrate_adaptive(lambda x: x, 0.0, 1.0, v), 0.0),
@@ -67,6 +70,9 @@ GUARDED = [
     ("log_gamma({})", log_gamma, 0.0),
     ("hurwitz_zero_values({})", hurwitz_zero_values, 0.0),
     ("RationalOrder({}, 1)", lambda v: RationalOrder(v, 1), 0, 1.5),
+    ("RationalOrder(1, {})", lambda v: RationalOrder(1, v), 0, 1.5, True),
+    ("dedekind_sum({}, 3)", lambda v: dedekind_sum(v, 3), 0, 1.5, True),
+    ("dedekind_sum(1, {})", lambda v: dedekind_sum(1, v), 0, 1.5, True),
     # radii, scales and covering data
     ("logdet_flat_disk({})", logdet_flat_disk, 0.0),
     ("rescale_logdet(1, 0.1, {})", lambda v: rescale_logdet(1.0, 0.1, v), 0.0),

@@ -18,7 +18,7 @@ from conedet import quadrature
 class TestIntegrateAdaptive:
     def test_exponential_tail(self):
         # the tail beyond 40 is e^-40 < 1e-17
-        rep = integrate_adaptive(lambda x: np.exp(-x), 0.0, 40.0, 1e-12)
+        rep = integrate_adaptive(lambda x: np.exp(-np.asarray(x)), 0.0, 40.0, 1e-12)
         assert rep.converged
         assert rep.value == pytest.approx(1.0, abs=1e-12)
 
@@ -35,13 +35,13 @@ class TestIntegrateAdaptive:
         # an oscillatory integrand under a tiny panel budget must not
         # claim convergence with error above tol
         rep = integrate_adaptive(
-            lambda x: np.sin(50.0 * x), 0.0, 10.0, 1e-14, max_panels=4
+            lambda x: np.sin(50.0 * np.asarray(x)), 0.0, 10.0, 1e-14, max_panels=4
         )
         assert not rep.converged or rep.error_estimate <= 1e-14
 
     def test_nonconvergence_reported(self):
         rep = integrate_adaptive(
-            lambda x: np.abs(x - math.sqrt(2)) ** -0.9, 0.0, 2.0, 1e-10, max_panels=10
+            lambda x: np.abs(np.asarray(x) - math.sqrt(2)) ** -0.9, 0.0, 2.0, 1e-10, max_panels=10
         )
         assert not rep.converged
 
@@ -63,8 +63,15 @@ class TestIntegrateAdaptive:
         with pytest.raises(DomainError, match="tolerance"):
             integrate_adaptive(lambda x: x, 0.0, 1.0, tol)
 
+    @pytest.mark.parametrize(
+        "f", [lambda x: 3 * x, lambda x: x[:14], lambda x: x + [0.0]], ids=["45", "14", "16"]
+    )
+    def test_rejects_integrand_not_returning_15_values(self, f):
+        with pytest.raises(ValueError, match="15"):
+            integrate_adaptive(f, 0.0, 1.0, 1e-8)
+
     def test_deterministic(self):
-        f = lambda x: np.cos(3 * x) * np.exp(-x)
+        f = lambda x: np.cos(3 * np.asarray(x)) * np.exp(-np.asarray(x))
         r1 = integrate_adaptive(f, 0.0, 40.0, 1e-11)
         r2 = integrate_adaptive(f, 0.0, 40.0, 1e-11)
         assert r1.value == r2.value
@@ -304,7 +311,7 @@ class TestThetaMeans:
     def test_matches_one_row_loop(self, polar_integrands, region, panel, cap):
         fn, r_hi, tol = polar_integrands[region]
         lo, hi = panel[0] * r_hi, panel[1] * r_hi
-        rs = 0.5 * (lo + hi) + 0.5 * (hi - lo) * quadrature._XGK
+        rs = 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.asarray(quadrature._XGK)
         ref = [_theta_mean_reference(fn, float(r), tol, cap) for r in rs]
         means, evals, ok = quadrature._theta_means(fn, rs, tol, cap)
         assert [float(v) for v in means] == [row[0] for row in ref]
@@ -315,7 +322,7 @@ class TestThetaMeans:
         # the middle region needs different angular levels at different radii,
         # so the comparison above covers rows that stop at different levels
         fn, r_hi, tol = polar_integrands["middle"]
-        rs = 0.5 * r_hi * (1.0 + quadrature._XGK)
+        rs = 0.5 * r_hi * (1.0 + np.asarray(quadrature._XGK))
         counts = {_theta_mean_reference(fn, float(r), tol)[1] for r in rs}
         assert len(counts) > 1
 
