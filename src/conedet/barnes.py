@@ -93,12 +93,22 @@ def barnes_J(a: float, tol: float = 1e-12) -> float:
     """
     check_positive(a, "Barnes period a")
     check_positive(tol, "tolerance")
+    if tol / 2.0 == 0.0:
+        raise ConvergenceError(
+            f"J({a}) quadrature cannot reach tol={tol}: half of it underflows to 0"
+        )
     scale = max(1.0, a + 1.0 / a)
-    x0, coeffs = _bracket_coefficients(a, tol / (20.0 * scale))
+    try:
+        x0, coeffs = _bracket_coefficients(a, tol / (20.0 * scale))
+    except OverflowError:
+        raise ConvergenceError(
+            f"J({a}) bracket series overflows a float; a is too small for the quadrature"
+        ) from None
 
     # |bracket| <= 1/(2x) coth(x/(2a)) + (a/4) csch^2(x/2) + (a+1/a)/12 is
-    # O(a + 1/a) for x >= 40, so the tail beyond X is under scale*e^-X.
-    upper = max(40.0, log(10.0 * scale / tol) + 5.0)
+    # O(a + 1/a) for x >= 40, so the tail beyond X is under scale*e^-X;
+    # log(scale / tol) is taken as a difference, which stays finite.
+    upper = max(40.0, log(10.0 * scale) - log(tol) + 5.0)
 
     def integrand(x):
         # past log(max float), e^x - 1 overflows and the integrand is 0

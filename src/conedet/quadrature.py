@@ -12,11 +12,11 @@ with a smooth partition of unity into
   s^(2 beta_j + 1) (the change of variable u = s^(2b+2)/(2b+2) absorbs
   the power law; the Jacobi rule is that substitution composed with a rule
   exact for the induced measure, built here by Golub-Welsch),
-* the exterior of a large disk, mapped by w = 1/z, where the degree
-  condition makes the transformed integrand smooth at w = 0, and
-* the remaining windowed region, integrated in polar coordinates with
-  adaptive Gauss-Kronrod radially, its first panels split where the patch
-  windows begin and end.
+* the rest of the plane, in polar coordinates about the origin with the
+  radius mapped to t in [0, 1) by r = c t / (1 - t): the degree condition
+  makes the mapped integrand analytic at t = 1, where it vanishes, so the
+  radial adaptive Gauss-Kronrod needs no window at infinity; its first
+  panels are split where the patch windows begin and end.
 
 Every region takes its angle means from one spectrally convergent periodic
 trapezoid: the means at all radial nodes of one Gauss-Kronrod panel or one
@@ -34,7 +34,7 @@ import heapq
 import sys
 from dataclasses import dataclass
 from itertools import count
-from math import fsum, inf, isfinite, log, pi
+from math import fsum, isfinite, pi
 
 from . import kernels
 from .errors import ConfigurationError, ConvergenceError, DomainError, check_order, check_positive
@@ -315,7 +315,7 @@ def _patch_term(cfg: FlatSphereConfig, j: int, radius: float, tol: float):
         total_evals += evals
         err = abs(cur - prev)
         if err <= tol / 2.0 or n_rad > 800:
-            return cur, err + tol / 2.0, total_evals, ok and err <= tol / 2.0
+            return QuadratureReport(cur, err + tol / 2.0, total_evals, ok and err <= tol / 2.0)
         prev = cur
 
 
@@ -369,77 +369,62 @@ def _polar_iterated(fn, r_hi: float, tol: float, breakpoints=()):
     rep = integrate_adaptive(
         radial, 0.0, r_hi, tol / 2.0, initial_breakpoints=breakpoints, max_panels=600
     )
-    return rep.value, rep.error_estimate + pi * r_hi * r_hi * inner_tol, evals[0], rep.converged and inner_ok[0]
+    return QuadratureReport(
+        rep.value,
+        rep.error_estimate + pi * r_hi * r_hi * inner_tol,
+        evals[0],
+        rep.converged and inner_ok[0],
+    )
 
 
 def flat_sphere_area(cfg: FlatSphereConfig, tol: float = 1e-8) -> QuadratureReport:
     """Total area of the plane under prod_j |z - p_j|^(2 beta_j).
 
     Smooth partition of unity: per-singularity polar patches (Gauss-Jacobi
-    radial weight), exterior chart w = 1/z around infinity, and the
-    windowed middle region in polar coordinates about the origin.
+    radial weight) and the rest of the plane in polar coordinates about the
+    origin, its radius mapped onto t in [0, 1) by r = c t / (1 - t).
     """
     import numpy as np
 
     check_positive(tol, "tolerance")
     radii = cfg.patch_radii()
-    big_r = cfg.outer_radius()
-    n = len(cfg.points)
-    tol_piece = tol / (n + 2)
+    tol_piece = tol / (len(cfg.points) + 1)
+    reports = [_patch_term(cfg, j, rj, tol_piece) for j, rj in enumerate(radii)]
 
-    # (value, error, evaluations, converged) per region
-    parts = [_patch_term(cfg, j, rj, tol_piece) for j, rj in enumerate(radii)]
-
-    # Exterior chart: w = 1/z on |w| <= 2/R.  With q_i = 1/p_i,
-    # prod |1 - p_i w|^(2 b_i) = prod |p_i|^(2 b_i) * prod |w - q_i|^(2 b_i)
-    # over the nonzero p_i; zero points contribute the factor 1.
-    qx, qy, qb = [], [], []
-    prefactor = 0.0
-    for p, b in zip(cfg.points, cfg.orders):
-        if p != 0:
-            q = 1.0 / p
-            qx.append(q.real)
-            qy.append(q.imag)
-            qb.append(b)
-            prefactor += 2.0 * b * log(abs(p))
-    pref = np.exp(prefactor)
-
-    def exterior(r, theta):
-        u = r * np.cos(theta)
-        v = r * np.sin(theta)
-        with np.errstate(divide="ignore"):
-            t = np.where(r > 0, 1.0 / (r * big_r), inf)
-        wfac = 1.0 - _window(t)
-        return pref * wfac * kernels.product_density(u, v, qx, qy, qb)
-
-    parts.append(_polar_iterated(exterior, 2.0 / big_r, tol_piece))
-
+    # c bounds every patch disk, so the patches lie in t < 1/2
+    c = 0.25 * cfg.outer_radius()
     px = np.array([p.real for p in cfg.points])
     py = np.array([p.imag for p in cfg.points])
     rad = np.array(radii)
 
-    def middle(r, theta):
+    def outside(t, theta):
+        # r dr = t * c^2 / (1 - t)^3 dt; _polar_iterated supplies the t.
+        # The density decays like r^-4, so the mapped integrand vanishes
+        # linearly at t = 1.
+        u = 1.0 / (1.0 - t)
+        r = c * t * u
         x = r * np.cos(theta)
         y = r * np.sin(theta)
-        bracket = _window(r / big_r)
+        bracket = 1.0
         for xj, yj, rj in zip(px, py, rad):
             bracket = bracket - _window(np.hypot(x - xj, y - yj) / rj)
         out = np.zeros_like(bracket)
         live = bracket != 0.0
         if np.any(live):
             out[live] = bracket[live] * _density(cfg, x[live], y[live])
-        return out
+        return out * (c * c * u * u * u)
 
     # the patch window around p_j is nonzero only for |p_j| - r_j < |z| < |p_j| + r_j
     rims = {abs(p) + sign * rj for p, rj in zip(cfg.points, radii) for sign in (-1.0, 1.0)}
-    parts.append(_polar_iterated(middle, big_r, tol_piece, breakpoints=rims))
+    breaks = {r / (c + r) for r in rims if r > 0.0}
+    reports.append(_polar_iterated(outside, 1.0, tol_piece, breakpoints=breaks))
 
-    values, errors, evals, oks = zip(*parts)
-    value = fsum(values)
-    error = fsum(errors)
+    value = fsum(rep.value for rep in reports)
+    error = fsum(rep.error_estimate for rep in reports)
     if not isfinite(value):
         raise ConvergenceError("area integral produced a non-finite value")
-    return QuadratureReport(value, error, sum(evals), all(oks) and error <= tol)
+    converged = all(rep.converged for rep in reports) and error <= tol
+    return QuadratureReport(value, error, sum(rep.evaluations for rep in reports), converged)
 
 
 def flat_sphere_area_mc(cfg: FlatSphereConfig, samples: int, seed: int):

@@ -322,6 +322,25 @@ class TestExitCodeTable:
         assert_one_json_error(res, 2, "usage")
 
 
+class TestBarnesIntegralLimits:
+    """Inputs the J(a) quadrature cannot serve end in a convergence error
+    (exit 4) that names the a or the tol the user gave."""
+
+    @pytest.mark.parametrize(
+        "args, named",
+        [
+            (["--a", "1e-14"], "J(1e-14)"),
+            (["--a", "1e-8", "--tol", "1e-300"], "tol=1e-300"),
+            (["--a", "1e-8", "--tol", "5e-324"], "tol=5e-324"),
+        ],
+        ids=["series-overflow", "tiny-tol", "smallest-tol"],
+    )
+    def test_convergence_error_names_input(self, runner, args, named):
+        res = runner.invoke(main, ["barnes-zprime0", *args])
+        err = assert_one_json_error(res, 4, "convergence")
+        assert named in err["message"]
+
+
 # Every command that takes --beta, with its other required options.
 BETA_COMMANDS = [
     ["cbeta"],

@@ -225,8 +225,8 @@ def _theta_mean_reference(fn, r, tol, cap=1 << 14):
 @pytest.fixture(scope="module")
 def polar_integrands():
     """The integrands of flat_sphere_area(SYMMETRIC, 1e-8) with their radial
-    upper limits and row tolerances: the (exterior, middle) integrands as
-    handed to _polar_iterated, and the first patch's ring function as
+    upper limits and row tolerances: the outside integrand as handed to
+    _polar_iterated, and the first patch's ring function as
     _patch_term hands it to _theta_means."""
     polar, rows, patches = [], [], []
     originals = {
@@ -256,7 +256,7 @@ def polar_integrands():
             setattr(quadrature, name, fn)
     first, radius = patches[0]
     ring, row_tol = rows[first]
-    return {**dict(zip(("exterior", "middle"), polar)), "patch": (ring, radius, row_tol)}
+    return {"outside": polar[0], "patch": (ring, radius, row_tol)}
 
 
 def exact_three_cone_area(points, orders):
@@ -291,8 +291,15 @@ class TestExactArea:
             (FlatSphereConfig(points=[0, 2, 0.5 + 1.5j], orders=[-0.95, -0.9, -0.15]), 1e-10),
             (FlatSphereConfig(points=[0, 1, -0.3 + 0.8j], orders=[-5 / 6, -2 / 3, -1 / 2]), 1e-10),
             (SYMMETRIC, 1e-8),
+            (
+                FlatSphereConfig(
+                    points=[0, 1, -0.16355403979032512 + 1.4997182979463848j],
+                    orders=[-0.8742360863108145, -0.5572877421582202, -0.5684761715309653],
+                ),
+                1e-10,
+            ),
         ],
-        ids=["near-minus-one", "wide", "hexagonal-quotient", "symmetric"],
+        ids=["near-minus-one", "wide", "hexagonal-quotient", "symmetric", "steep-cone"],
     )
     def test_matches_closed_form(self, cfg, tol):
         rep = flat_sphere_area(cfg, tol)
@@ -305,7 +312,7 @@ class TestExactArea:
 class TestThetaMeans:
     """The row-wise angular means equal the one-row loop bit for bit."""
 
-    @pytest.mark.parametrize("region", ["exterior", "middle", "patch"])
+    @pytest.mark.parametrize("region", ["outside", "patch"])
     @pytest.mark.parametrize("panel", [(0.0, 1.0), (0.25, 0.5), (0.6, 0.65)])
     @pytest.mark.parametrize("cap", [1 << 14, 64])
     def test_matches_one_row_loop(self, polar_integrands, region, panel, cap):
@@ -319,22 +326,22 @@ class TestThetaMeans:
         assert ok == all(row[2] for row in ref)
 
     def test_rows_need_different_levels(self, polar_integrands):
-        # the middle region needs different angular levels at different radii,
+        # the outside region needs different angular levels at different radii,
         # so the comparison above covers rows that stop at different levels
-        fn, r_hi, tol = polar_integrands["middle"]
+        fn, r_hi, tol = polar_integrands["outside"]
         rs = 0.5 * r_hi * (1.0 + np.asarray(quadrature._XGK))
         counts = {_theta_mean_reference(fn, float(r), tol)[1] for r in rs}
         assert len(counts) > 1
 
 
 class TestPinnedCounts:
-    """Evaluation counts of the row-wise angle means, where every patch,
-    exterior and middle radius stops on its own, and values that match the
+    """Evaluation counts of the row-wise angle means, where every patch and
+    outside radius stops on its own, and values that match the
     earlier schemes (a shared patch grid, a per-node loop) to rel 1e-12."""
 
     @pytest.mark.parametrize(
         "tol, evaluations, value",
-        [(1e-6, 242624, 15.324347153496445), (1e-8, 397120, 15.32434715349721)],
+        [(1e-6, 221440, 15.324347153496445), (1e-8, 418368, 15.32434715349721)],
     )
     def test_symmetric(self, tol, evaluations, value):
         rep = flat_sphere_area(SYMMETRIC, tol)
