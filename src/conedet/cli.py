@@ -37,6 +37,11 @@ def _fail(kind: str, message: str, parameter=None, code: int = EXIT_DOMAIN):
 
 
 def handle_math_errors(fn):
+    """Map DomainError to exit 3 and ConvergenceError to exit 4.  A float
+    overflow or a math ValueError (log of 0, inf - inf in fsum, a NaN or
+    inf refused by the JSON output) is a result outside the float range:
+    exit 3 as well."""
+
     @wraps(fn)
     def wrapper(*args, **kwargs):
         try:
@@ -45,6 +50,8 @@ def handle_math_errors(fn):
             _fail("domain", str(err), code=EXIT_DOMAIN)
         except ConvergenceError as err:
             _fail("convergence", str(err), code=EXIT_CONVERGENCE)
+        except (OverflowError, ValueError) as err:
+            _fail("domain", f"result outside the float range: {err}", code=EXIT_DOMAIN)
 
     return wrapper
 
@@ -52,19 +59,20 @@ def handle_math_errors(fn):
 def json_command(fn):
     """Command body returning ``(payload, meta)`` -> one JSON line on stdout.
 
-    Adds ``--timing`` and maps math errors to exit codes.  Apply it below
-    the command's own options, so that ``--timing`` is listed last.
+    Adds ``--timing`` and maps math errors to exit codes; a payload holding
+    NaN or +-inf is a domain error, never output.  Apply it below the
+    command's own options, so that ``--timing`` is listed last.
     """
-    body = handle_math_errors(fn)
 
     @click.option("--timing", is_flag=True, help="Add the wall time as meta.wall_time_s.")
     @wraps(fn)
+    @handle_math_errors
     def command(*args, timing, **kwargs):
         started = time.perf_counter()
-        payload, meta = body(*args, **kwargs)
+        payload, meta = fn(*args, **kwargs)
         if timing:
             meta = dict(meta, wall_time_s=time.perf_counter() - started)
-        click.echo(json.dumps({"payload": payload, "meta": meta}))
+        click.echo(json.dumps({"payload": payload, "meta": meta}, allow_nan=False))
 
     return command
 

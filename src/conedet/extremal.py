@@ -48,10 +48,15 @@ class ScanGrid:
             raise DomainError("scan grid requires start < stop")
         if self.steps < 2:
             raise DomainError("scan grid requires at least 2 steps")
+        # fixed_other is mu in a beta scan and the cone order in a mu scan
         if self.param == "beta":
             check_order(self.start)
-        if self.param == "mu" and self.start < 0.0:
-            raise DomainError("mu scans must be nonnegative")
+            if not (isfinite(self.fixed_other) and self.fixed_other >= 0.0):
+                raise DomainError(f"mu must be finite and nonnegative, got {self.fixed_other}")
+        else:
+            check_order(self.fixed_other)
+            if self.start < 0.0:
+                raise DomainError("mu scans must be nonnegative")
 
     def values(self):
         h = (self.stop - self.start) / (self.steps - 1)
@@ -93,17 +98,21 @@ def scan_curve(target: str, grid: ScanGrid) -> ScanResult:
     """Tabulate ``cbeta`` or ``fixed_area_det`` over the grid.
 
     The determinant curve is emitted exponentiated (the plotted quantity).
-    Rows whose evaluation raises a domain error are skipped and flagged
-    rather than aborting the scan; the param column is monotone.
+    Rows whose evaluation raises a domain error or leaves the float range
+    are skipped and flagged rather than aborting the scan; the param column
+    is monotone.
     """
     if target not in ("cbeta", "fixed_area_det"):
         raise DomainError(f"unknown scan target {target!r}")
 
     def run(x):
         try:
-            return (x, _row_value(target, grid, x)), None
+            value = _row_value(target, grid, x)
         except DomainError as err:
             return None, (x, str(err))
+        if not isfinite(value):
+            return None, (x, f"value {value!r} leaves the float range")
+        return (x, value), None
 
     outcomes = [run(x) for x in grid.values()]
 

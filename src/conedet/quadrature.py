@@ -83,6 +83,8 @@ _WG = tuple(w for g in _G7_WEIGHTS for w in (0.0, g)) + (0.0,)
 
 _EPS = sys.float_info.epsilon
 
+MAX_MC_SAMPLES = 10**7  # flat_sphere_area_mc's sample cap
+
 
 @dataclass(frozen=True)
 class QuadratureReport:
@@ -103,7 +105,8 @@ class QuadratureReport:
 
 
 def _gk15_panel(f, a: float, b: float):
-    """One Gauss-Kronrod step on [a, b]: (K15 value, error estimate).
+    """One Gauss-Kronrod step on [a, b]: (K15 value, error estimate, whether
+    the estimate is the panel's rounding floor 50 eps * integral of |f|).
 
     ``f`` gets the 15 nodes as a list of floats and returns 15 values.
     """
@@ -120,8 +123,8 @@ def _gk15_panel(f, a: float, b: float):
     resasc *= h
     if resasc != 0.0 and err != 0.0:
         err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    err = max(err, 50.0 * _EPS * resabs * h)
-    return resk * h, err
+    floor = 50.0 * _EPS * resabs * h
+    return resk * h, max(err, floor), err <= floor
 
 
 def integrate_adaptive(
@@ -139,6 +142,10 @@ def integrate_adaptive(
     their 15 values; any other count raises ValueError.  Both endpoints
     must be finite.  Non-convergence is reported through
     ``converged=False``, never as a silently wrong value.
+
+    A panel whose error estimate is its rounding floor, 50 eps times the
+    integral of |f| over it, is final (QUADPACK's roundoff rule): its
+    halves' floors sum to about the same, so splitting cannot lower it.
     """
     check_positive(tol, "tolerance")
     if not (isfinite(a) and isfinite(b)):
@@ -154,14 +161,14 @@ def integrate_adaptive(
         return f(x)
 
     heap = []  # splittable panels (-err, seq, left, right, val), worst first
-    frozen = []  # panels at the width floor, kept out of the heap
+    frozen = []  # panels at the rounding or the width floor, kept out of the heap
     seq = count()
 
     def push(left, right):
-        val, err = _gk15_panel(counted, left, right)
+        val, err, at_floor = _gk15_panel(counted, left, right)
         mid = 0.5 * (left + right)
         panel = (-err, next(seq), left, right, val)
-        if err == 0.0 or mid - left < 1e-15 * (abs(left) + abs(right) + 1.0):
+        if at_floor or mid - left < 1e-15 * (abs(left) + abs(right) + 1.0):
             frozen.append(panel)
         else:
             heapq.heappush(heap, panel)
@@ -436,11 +443,17 @@ def flat_sphere_area_mc(cfg: FlatSphereConfig, samples: int, seed: int):
     proportional to s^(2 b_j + 1) (matches each local power law).  The
     integrand-over-proposal ratio is bounded, so the reported standard
     error is an honest CLT estimate.  Deterministic for a fixed seed.
+
+    ``samples`` runs from 1e4 to MAX_MC_SAMPLES = 1e7 (about 100 bytes and
+    0.5 s per 1e6 samples, so 1 GB at the cap); ``seed`` is a non-negative
+    integer.  Anything else is a DomainError, raised before any allocation.
     """
+    if not 10**4 <= samples <= MAX_MC_SAMPLES:
+        raise DomainError(f"need 1e4 to 1e7 samples, got {samples}")
+    if seed < 0:
+        raise DomainError(f"Monte-Carlo seed must be non-negative, got {seed}")
     import numpy as np
 
-    if samples < 10**4:
-        raise DomainError(f"need at least 1e4 samples, got {samples}")
     rng = np.random.default_rng(seed)
     n = len(cfg.points)
     radii = np.array(cfg.patch_radii())

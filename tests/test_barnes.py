@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from conedet import (
     zprime_a0_IR,
 )
 from conedet.barnes import MAX_RATIONAL_TERMS, _bracket_coefficients
-from conedet import kernels
+from conedet import kernels, quadrature
 from conftest import coprime_pairs
 
 LOG_2PI = math.log(2 * math.pi)
@@ -91,14 +92,14 @@ class TestJIntegral:
 
     def test_integrand_vanishes_at_origin(self):
         # bracket is O(x^2), prefactor O(1/x): the integrand falls linearly
-        x0, coeffs = _bracket_coefficients(1.0, 1e-14)
+        x0, coeffs = _bracket_coefficients(1.0)
         x = np.array([1e-8, 1e-6, 1e-4])
         vals = kernels.j_bracket(x, 1.0, x0, coeffs) / np.expm1(x)
         np.testing.assert_array_less(np.abs(vals), 0.01 * x)
 
     def test_bracket_series_matches_direct_at_crossover(self):
         for a in (0.2, 1.0, 3.7):
-            x0, coeffs = _bracket_coefficients(a, 1e-15)
+            x0, coeffs = _bracket_coefficients(a)
             x = np.array([x0 * 0.98, x0 * 1.02])
             both = kernels.j_bracket(x, a, x0, coeffs)
             direct = kernels.j_bracket(x, a, 0.0, coeffs)  # force direct branch
@@ -137,6 +138,27 @@ class TestJIntegral:
         # underflows to 0, ends in ConvergenceError naming the input
         with pytest.raises(ConvergenceError, match=f"J\\({a}\\)"):
             barnes_J(a, tol)
+
+    @pytest.mark.parametrize(
+        "a, tol, max_estimate", [(1e-6, 1e-12, math.inf), (1e4, 1e-12, math.inf), (2.0, 1e-300, 1e-10)]
+    )
+    def test_unmeetable_tol_fails_fast(self, monkeypatch, a, tol, max_estimate):
+        # panels at their rounding floor are final, so a tol below what the
+        # panels can certify fails long before the 4000-panel budget, and
+        # the crossover stays where the series is exact
+        calls = []
+        panel = quadrature._gk15_panel
+
+        def spy(*args):
+            calls.append(args)
+            return panel(*args)
+
+        monkeypatch.setattr(quadrature, "_gk15_panel", spy)
+        with pytest.raises(ConvergenceError, match=re.escape(f"J({a}) at tol={tol}")) as info:
+            barnes_J(a, tol)
+        assert len(calls) <= 1000
+        estimate = float(re.search(r"estimate (\S+)\)", str(info.value)).group(1))
+        assert estimate < max_estimate
 
 
 class TestRationalClosedForm:

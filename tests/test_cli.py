@@ -341,6 +341,66 @@ class TestBarnesIntegralLimits:
         assert named in err["message"]
 
 
+# Inputs whose result, or a step on the way, leaves the float range; FLAT
+# and HYP stand for the input files below.
+FLOAT_RANGE_ARGS = [
+    ["cbeta", "--beta", "1e155"],
+    ["det", "spindle", "--beta", "1e300", "--k", "1e-300"],
+    ["det", "disk", "--beta", "0.5", "--k", "1e308"],
+    ["det", "spindle", "--beta", "1", "--mu", "1e200"],
+    ["det", "spindle-area4pi", "--beta", "1", "--mu", "1e300"],
+    ["zeta0", "--euler", "2", "--orders", "1e308,1e308"],
+    ["det", "hyperbolic", "--input", "HYP"],
+    ["det", "flat-sphere", "--input", "FLAT"],
+]
+FLOAT_RANGE_FILES = {
+    # phi terms of opposite infinite sign: -inf + inf in the sum
+    "HYP": {"orders": [-0.8, -0.7, -0.9], "phi_consts": [1e308, -1e308, 1e308],
+            "liouville_integral": 1e308},
+    # the area scales like 1e150^-2 and underflows to 0 before its log
+    "FLAT": {"points": [[0.0, 0.0], [1e150, 0.0], [0.0, 1e150]],
+             "orders": [-2.0 / 3.0] * 3},
+}
+
+
+class TestFloatRange:
+    """A result outside the float range ends in a domain error (exit 3):
+    never a NaN or +-inf payload, which is not JSON, nor a traceback."""
+
+    @pytest.mark.parametrize("args", FLOAT_RANGE_ARGS, ids=" ".join)
+    def test_domain_error(self, runner, tmp_path, args):
+        for i, arg in enumerate(args):
+            if arg in FLOAT_RANGE_FILES:
+                path = tmp_path / f"{arg}.json"
+                path.write_text(json.dumps(FLOAT_RANGE_FILES[arg]))
+                args = args[:i] + [str(path)] + args[i + 1:]
+        assert_one_json_error(runner.invoke(main, args), 3, "domain")
+
+    def test_scan_skips_an_infinite_row(self, runner):
+        res = invoke(runner, ["scan", "cbeta", "--start", "1e154", "--stop", "1e156", "--steps", "3"])
+        assert res.exit_code == 0
+        lines = res.output.splitlines()
+        assert lines[2].startswith("1e+154,")
+        assert [line.split(":")[1] for line in lines[3:]] == [
+            " value -inf leaves the float range"
+        ] * 2
+
+    @pytest.mark.parametrize("mu", ["-1", "nan", "inf"])
+    def test_scan_rejects_bad_mu(self, runner, mu):
+        res = runner.invoke(main, ["scan", "fixed-area", "--mu", mu])
+        assert_one_json_error(res, 3, "domain")
+
+    @pytest.mark.parametrize("args", [
+        ["--mc-samples", "20000", "--mc-seed", "-1"],
+        ["--mc-samples", "100000000000000"],
+    ], ids=["negative-seed", "too-many-samples"])
+    def test_monte_carlo_inputs(self, runner, tmp_path, args):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(FLAT_JSON))
+        res = runner.invoke(main, ["area", "flat-sphere", "--input", str(path), "--tol", "1e-6", *args])
+        assert_one_json_error(res, 3, "domain")
+
+
 # Every command that takes --beta, with its other required options.
 BETA_COMMANDS = [
     ["cbeta"],

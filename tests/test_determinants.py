@@ -170,6 +170,14 @@ class TestSpindleAsymptotics:
         approx = spindle_asymptotic(beta, 0.0, "beta_to_infinity")
         assert abs(exact - approx) < 10.0 / beta  # remainder O(1/beta)
 
+    @pytest.mark.parametrize("beta", [1e50, 1e80])
+    def test_huge_order_meets_the_asymptote(self, beta):
+        # the O(1/beta) remainder is below rounding; the J(a) crossover
+        # stays at 0.35, where the bracket is not cancellation noise
+        exact = logdet_spindle_area4pi(beta, 0.0).total
+        approx = spindle_asymptotic(beta, 0.0, "beta_to_infinity")
+        assert exact == pytest.approx(approx, rel=1e-14)
+
     @pytest.mark.parametrize(
         "regime,betas",
         [

@@ -52,6 +52,10 @@ GUARDED = [
     ("ScanGrid(start={})", lambda v: ScanGrid(param="beta", start=v, stop=1.0, steps=3), -1.0),
     ("ScanGrid(stop={})", lambda v: ScanGrid(param="beta", start=0.0, stop=v, steps=3)),
     ("ScanGrid(param='mu', stop={})", lambda v: ScanGrid(param="mu", start=0.0, stop=v, steps=3)),
+    ("ScanGrid(fixed_other={})",
+     lambda v: ScanGrid(param="beta", start=0.0, stop=1.0, steps=3, fixed_other=v), -1.0),
+    ("ScanGrid(param='mu', fixed_other={})",
+     lambda v: ScanGrid(param="mu", start=0.0, stop=1.0, steps=3, fixed_other=v), -1.0),
     ("spindle_asymptotic({})", spindle_asymptotic, -1.0),
     # tolerances
     ("integrate_adaptive(tol={})", lambda v: integrate_adaptive(lambda x: x, 0.0, 1.0, v), 0.0),

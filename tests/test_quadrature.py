@@ -12,7 +12,7 @@ from conedet import (
     flat_sphere_area_mc,
     integrate_adaptive,
 )
-from conedet import quadrature
+from conedet import barnes, quadrature
 
 
 class TestIntegrateAdaptive:
@@ -69,6 +69,14 @@ class TestIntegrateAdaptive:
     def test_rejects_integrand_not_returning_15_values(self, f):
         with pytest.raises(ValueError, match="15"):
             integrate_adaptive(f, 0.0, 1.0, 1e-8)
+
+    def test_tol_below_the_rounding_floor_ends_fast(self):
+        # every panel's estimate is its floor 50 eps * integral of |f|, so
+        # splitting cannot reach 1e-300 and the first panel is final
+        rep = integrate_adaptive(lambda x: [math.exp(t) for t in x], 0.0, 1.0, 1e-300)
+        assert not rep.converged
+        assert rep.evaluations <= 150
+        assert rep.value == pytest.approx(math.e - 1.0, rel=1e-15)
 
     def test_deterministic(self):
         f = lambda x: np.cos(3 * np.asarray(x)) * np.exp(-np.asarray(x))
@@ -350,6 +358,22 @@ class TestPinnedCounts:
         assert rep.converged
 
 
+class TestPinnedJCount:
+    """Evaluation count and value of one J(a) quadrature."""
+
+    def test_j_at_077(self, monkeypatch):
+        reports = []
+
+        def spy(*args, **kwargs):
+            reports.append(integrate_adaptive(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(barnes, "integrate_adaptive", spy)
+        value = barnes.barnes_J(0.77, 1e-12)
+        assert [rep.evaluations for rep in reports] == [195]
+        assert value == pytest.approx(float.fromhex("-0x1.7ba51068bda99p-7"), rel=1e-14)
+
+
 class TestMonteCarlo:
     def test_agreement_with_deterministic(self):
         det = flat_sphere_area(SYMMETRIC, 1e-8)
@@ -370,6 +394,15 @@ class TestMonteCarlo:
     def test_minimum_samples(self):
         with pytest.raises(DomainError):
             flat_sphere_area_mc(SYMMETRIC, 9_999, seed=0)
+
+    def test_maximum_samples(self):
+        # rejected before anything is allocated
+        with pytest.raises(DomainError, match="samples"):
+            flat_sphere_area_mc(SYMMETRIC, quadrature.MAX_MC_SAMPLES + 1, seed=0)
+
+    def test_negative_seed(self):
+        with pytest.raises(DomainError, match="seed"):
+            flat_sphere_area_mc(SYMMETRIC, 10**4, seed=-1)
 
     def test_randomized_configs_cross_validate(self):
         from conftest import random_flat_config
