@@ -140,7 +140,8 @@ class TestJIntegral:
             barnes_J(a, tol)
 
     @pytest.mark.parametrize(
-        "a, tol, max_estimate", [(1e-6, 1e-12, math.inf), (1e4, 1e-12, math.inf), (2.0, 1e-300, 1e-10)]
+        "a, tol, max_estimate",
+        [(1e-6, 1e-12, math.inf), (1e4, 1e-12, math.inf), (2.0, 1e-300, 1e-10)],
     )
     def test_unmeetable_tol_fails_fast(self, monkeypatch, a, tol, max_estimate):
         # panels at their rounding floor are final, so a tol below what the

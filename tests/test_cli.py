@@ -377,7 +377,8 @@ class TestFloatRange:
         assert_one_json_error(runner.invoke(main, args), 3, "domain")
 
     def test_scan_skips_an_infinite_row(self, runner):
-        res = invoke(runner, ["scan", "cbeta", "--start", "1e154", "--stop", "1e156", "--steps", "3"])
+        args = ["scan", "cbeta", "--start", "1e154", "--stop", "1e156", "--steps", "3"]
+        res = invoke(runner, args)
         assert res.exit_code == 0
         lines = res.output.splitlines()
         assert lines[2].startswith("1e+154,")
@@ -397,7 +398,9 @@ class TestFloatRange:
     def test_monte_carlo_inputs(self, runner, tmp_path, args):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(FLAT_JSON))
-        res = runner.invoke(main, ["area", "flat-sphere", "--input", str(path), "--tol", "1e-6", *args])
+        res = runner.invoke(
+            main, ["area", "flat-sphere", "--input", str(path), "--tol", "1e-6", *args]
+        )
         assert_one_json_error(res, 3, "domain")
 
 
