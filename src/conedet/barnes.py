@@ -71,11 +71,16 @@ def _bracket_coefficients(a: float):
     The terms through B_22 are kept; at x0 the first omitted one is at most
     5.9e-25 of the first kept one for a from 1e-10 to 1e10, far below the
     rounding floor of any quadrature panel.
+
+    OverflowError when a coefficient leaves the float range: a ** (1 - 2k)
+    for a below about 2e-15, (2k - 1) a for a above about 8e306.
     """
     gs = [
         float(b) / factorial(2 * k) * (a ** (1 - 2 * k) + (2 * k - 1) * a)
         for k, b in enumerate(_BERNOULLI, start=2)
     ]
+    if not all(map(isfinite, gs)):
+        raise OverflowError("bracket series coefficient is not finite")
     return 0.35 * min(a, 1.0), tuple(gs)
 
 
@@ -99,14 +104,14 @@ def barnes_J(a: float, tol: float = 1e-12) -> float:
         x0, coeffs = _bracket_coefficients(a)
     except OverflowError:
         raise ConvergenceError(
-            f"J({a}) bracket series overflows a float; a is too small for the quadrature"
+            f"J({a}) bracket series overflows a float; a is outside the quadrature's range"
         ) from None
 
     # |bracket| <= 1/(2x) coth(x/(2a)) + (a/4) csch^2(x/2) + (a+1/a)/12 is
     # O(a + 1/a) for x >= 40, so the tail beyond X is under scale*e^-X;
-    # log(scale / tol) is taken as a difference, which stays finite.
+    # log(10 scale / tol) is taken as a sum of logs, which stays finite.
     scale = max(1.0, a + 1.0 / a)
-    upper = max(40.0, log(10.0 * scale) - log(tol) + 5.0)
+    upper = max(40.0, log(10.0) + log(scale) - log(tol) + 5.0)
 
     def integrand(x):
         # past log(max float), e^x - 1 overflows and the integrand is 0

@@ -24,6 +24,8 @@ __all__ = [
 ]
 
 _GOLDEN = 0.6180339887498949
+# A scan row costs up to a few milliseconds, so this many take seconds.
+MAX_SCAN_STEPS = 10_000
 _OBJECTIVE_TOL = 1e-13  # quadrature tolerance for objective evaluations
 
 
@@ -46,8 +48,10 @@ class ScanGrid:
             )
         if not self.start < self.stop:
             raise DomainError("scan grid requires start < stop")
-        if self.steps < 2:
-            raise DomainError("scan grid requires at least 2 steps")
+        if not 2 <= self.steps <= MAX_SCAN_STEPS:
+            raise DomainError(
+                f"scan grid requires 2 to {MAX_SCAN_STEPS} steps, got {self.steps}"
+            )
         # fixed_other is mu in a beta scan and the cone order in a mu scan
         if self.param == "beta":
             check_order(self.start)

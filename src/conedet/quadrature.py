@@ -84,6 +84,7 @@ _WG = tuple(w for g in _G7_WEIGHTS for w in (0.0, g)) + (0.0,)
 _EPS = sys.float_info.epsilon
 
 MAX_MC_SAMPLES = 10**7  # flat_sphere_area_mc's sample cap
+MAX_COORDINATE = 1e150  # FlatSphereConfig's bound on |Re p| and |Im p|
 
 
 @dataclass(frozen=True)
@@ -241,8 +242,11 @@ class FlatSphereConfig:
             raise ConfigurationError(f"need at least 3 singular points, got {n}")
         if len(self.orders) != n:
             raise ConfigurationError("points and orders must have equal length")
-        if not all(isfinite(v) for p in self.points for v in (p.real, p.imag)):
-            raise ConfigurationError("every point must be finite")
+        # beyond this, squared distances in the outside region overflow a float
+        if not all(abs(v) <= MAX_COORDINATE for p in self.points for v in (p.real, p.imag)):
+            raise ConfigurationError(
+                f"every point must be finite, with |Re p| and |Im p| at most {MAX_COORDINATE:g}"
+            )
         for b in self.orders:
             check_order(b)
         if abs(fsum(self.orders) + 2.0) > 1e-12:

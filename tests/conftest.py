@@ -1,4 +1,7 @@
+import contextlib
+import io
 import math
+from dataclasses import dataclass
 
 import pytest
 
@@ -45,3 +48,24 @@ def random_flat_config(rng, n):
         ) > 0.15:
             break
     return FlatSphereConfig(points=pts, orders=orders)
+
+
+@dataclass
+class CliResult:
+    exit_code: int
+    output: str
+    exception: BaseException | None
+
+
+def invoke(args):
+    """Run ``conedet`` in this process: its exit code, its stdout and the
+    SystemExit that ended it, if any.  Any other exception propagates."""
+    from conedet.cli import main
+
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        try:
+            main(args, standalone_mode=False)
+        except SystemExit as exc:
+            return CliResult(exc.code, buf.getvalue(), exc)
+    return CliResult(0, buf.getvalue(), None)

@@ -14,7 +14,6 @@ import time
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 import conedet
 from conedet import (
@@ -48,8 +47,7 @@ from conedet import (
     zprime_a0,
     zprime_a0_IR,
 )
-from conedet.cli import main as cli_main
-from conftest import coprime_pairs, random_flat_config
+from conftest import coprime_pairs, invoke, random_flat_config
 
 LOG2 = math.log(2.0)
 LOG_2PI = math.log(2.0 * math.pi)
@@ -265,10 +263,9 @@ def test_criterion_11_invariant_bundle(zp):
             details.append("breakdown sum")
 
     # CLI determinism and breakdown-sum check through the real interface
-    runner = CliRunner()
     args = ["det", "spindle", "--beta", "2", "--mu", "1.0", "--k", "2.0", "--breakdown"]
-    out1 = runner.invoke(cli_main, args).output
-    out2 = runner.invoke(cli_main, args).output
+    out1 = invoke(args).output
+    out2 = invoke(args).output
     if out1 != out2:
         ok = False
         details.append("CLI nondeterministic")

@@ -132,11 +132,13 @@ class TestJIntegral:
             with pytest.raises(DomainError, match="tolerance"):
                 zprime0_integral(1.5, bad_tol)
 
-    @pytest.mark.parametrize("a, tol", [(1e-14, 1e-10), (1e-300, 1e-10), (1e-8, 5e-324)])
+    @pytest.mark.parametrize(
+        "a, tol", [(1e-14, 1e-10), (1e-300, 1e-10), (1e-8, 5e-324), (1.7e308, 1e298)]
+    )
     def test_unservable_input_is_convergence_error(self, a, tol):
         # a bracket series that overflows a float, or a tol whose half
         # underflows to 0, ends in ConvergenceError naming the input
-        with pytest.raises(ConvergenceError, match=f"J\\({a}\\)"):
+        with pytest.raises(ConvergenceError, match=re.escape(f"J({a})")):
             barnes_J(a, tol)
 
     @pytest.mark.parametrize(

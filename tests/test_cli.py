@@ -1,3 +1,4 @@
+import argparse
 import itertools
 import json
 import math
@@ -8,23 +9,13 @@ import time
 import warnings
 from pathlib import Path
 
-import click
 import pytest
-from click.testing import CliRunner
+from conftest import invoke
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import conedet
-from conedet.cli import main
-
-
-@pytest.fixture()
-def runner():
-    return CliRunner()
-
-
-def invoke(runner, args):
-    return runner.invoke(main, args, catch_exceptions=False)
+from conedet.cli import COMMANDS, _command_parser, build_parser
 
 
 def payload(result):
@@ -44,53 +35,53 @@ HYP_JSON = {
 
 
 class TestScalarCommands:
-    def test_cbeta_zero(self, runner):
-        res = invoke(runner, ["cbeta", "--beta", "0"])
+    def test_cbeta_zero(self):
+        res = invoke(["cbeta", "--beta", "0"])
         assert res.exit_code == 0
         assert abs(payload(res)["value"]) <= 1e-12
 
-    def test_barnes_cross_check(self, runner):
-        res = invoke(runner, ["barnes-zprime0", "--p", "2", "--q", "1", "--cross-check"])
+    def test_barnes_cross_check(self):
+        res = invoke(["barnes-zprime0", "--p", "2", "--q", "1", "--cross-check"])
         assert res.exit_code == 0
         data = payload(res)
         assert abs(data["difference"]) <= 1e-8
         assert data["value"] == pytest.approx(data["integral_route"], abs=1e-8)
 
-    def test_det_spindle_kokot(self, runner, zp):
-        res = invoke(runner, ["det", "spindle", "--beta", "1", "--mu", "0", "--k", "1"])
+    def test_det_spindle_kokot(self, zp):
+        res = invoke(["det", "spindle", "--beta", "1", "--mu", "0", "--k", "1"])
         expected = math.log(2.0) / 6.0 + 1.0 - 2.0 * zp
         assert payload(res)["value"] == pytest.approx(expected, abs=1e-11)
 
-    def test_zeta0(self, runner):
-        res = invoke(runner, ["zeta0", "--euler", "2", "--orders", "", "--closed"])
+    def test_zeta0(self):
+        res = invoke(["zeta0", "--euler", "2", "--orders", "", "--closed"])
         assert payload(res)["value"] == pytest.approx(-2.0 / 3.0)
 
-    def test_zeta0_with_cones_and_a0(self, runner):
-        res = invoke(runner, ["zeta0", "--euler", "2", "--orders", "1,1", "--closed", "--a0"])
+    def test_zeta0_with_cones_and_a0(self):
+        res = invoke(["zeta0", "--euler", "2", "--orders", "1,1", "--closed", "--a0"])
         data = payload(res)
         expected = (2.0 + 2.0) / 6.0 - 2.0 * (2.0 - 0.5) / 12.0 - 1.0
         assert data["value"] == pytest.approx(expected, abs=1e-14)
         assert data["heat_trace_a0"] == pytest.approx(expected + 1.0, abs=1e-14)
 
-    def test_distance(self, runner):
-        res = invoke(runner, ["distance", "spindle", "--beta", "0", "--mu", "0", "--k", "1"])
+    def test_distance(self):
+        res = invoke(["distance", "spindle", "--beta", "0", "--mu", "0", "--k", "1"])
         assert payload(res)["value"] == pytest.approx(math.pi, rel=1e-15)
 
-    def test_flat_disk(self, runner):
-        res = invoke(runner, ["det", "flat-disk", "--radius", "1.0"])
+    def test_flat_disk(self):
+        res = invoke(["det", "flat-disk", "--radius", "1.0"])
         assert res.exit_code == 0
 
-    def test_taylor_check(self, runner, gamma):
-        res = invoke(runner, ["taylor-check", "--h", "1e-3"])
+    def test_taylor_check(self, gamma):
+        res = invoke(["taylor-check", "--h", "1e-3"])
         data = payload(res)
         assert data["c2"] == pytest.approx(-(gamma / 3 + 1.0 / 9.0), abs=1e-4)
 
-    def test_find_max(self, runner):
-        res = invoke(runner, ["find-max", "--tol", "1e-6"])
+    def test_find_max(self):
+        res = invoke(["find-max", "--tol", "1e-6"])
         assert abs(payload(res)["location"]) <= 1e-6
 
-    def test_find_max_default_flags(self, runner):
-        res = invoke(runner, ["find-max"])
+    def test_find_max_default_flags(self):
+        res = invoke(["find-max"])
         assert res.exit_code == 0
         data = payload(res)
         assert data["tolerance_achieved"] <= 1e-8
@@ -98,11 +89,10 @@ class TestScalarCommands:
 
 
 class TestFileCommands:
-    def test_flat_sphere_roundtrip(self, runner, tmp_path):
+    def test_flat_sphere_roundtrip(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(FLAT_JSON))
         res = invoke(
-            runner,
             ["det", "flat-sphere", "--input", str(path), "--tol", "1e-6", "--breakdown"],
         )
         data = payload(res)
@@ -110,32 +100,30 @@ class TestFileCommands:
             data["value"], abs=1e-13
         )
 
-    def test_flat_sphere_both_forms(self, runner, tmp_path):
+    def test_flat_sphere_both_forms(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(FLAT_JSON))
-        a = payload(invoke(runner, ["det", "flat-sphere", "--input", str(path), "--tol", "1e-7"]))
+        a = payload(invoke(["det", "flat-sphere", "--input", str(path), "--tol", "1e-7"]))
         b = payload(
             invoke(
-                runner,
                 ["det", "flat-sphere", "--input", str(path), "--tol", "1e-7", "--form", "as"],
             )
         )
         assert a["value"] == pytest.approx(b["value"], abs=1e-6)
 
-    def test_flat_sphere_order_near_minus_one_default_tol(self, runner, tmp_path):
+    def test_flat_sphere_order_near_minus_one_default_tol(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(
             {"points": [[0.0, 0.0], [1.0, 0.0], [0.4, 0.3]], "orders": [-0.999, -0.5, -0.501]}
         ))
-        res = invoke(runner, ["det", "flat-sphere", "--input", str(path)])
+        res = invoke(["det", "flat-sphere", "--input", str(path)])
         assert res.exit_code == 0
         assert math.isfinite(payload(res)["value"])
 
-    def test_area_with_mc(self, runner, tmp_path):
+    def test_area_with_mc(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(FLAT_JSON))
         res = invoke(
-            runner,
             [
                 "area", "flat-sphere", "--input", str(path), "--tol", "1e-6",
                 "--mc-samples", "50000", "--mc-seed", "3",
@@ -145,10 +133,10 @@ class TestFileCommands:
         sigma = math.hypot(data["mc_stderr"], data["error_estimate"])
         assert abs(data["mc_estimate"] - data["value"]) <= 4.0 * sigma
 
-    def test_hyperbolic(self, runner, tmp_path):
+    def test_hyperbolic(self, tmp_path):
         path = tmp_path / "h.json"
         path.write_text(json.dumps(HYP_JSON))
-        res = invoke(runner, ["det", "hyperbolic", "--input", str(path), "--breakdown"])
+        res = invoke(["det", "hyperbolic", "--input", str(path), "--breakdown"])
         data = payload(res)
         assert math.fsum(data["breakdown"].values()) == pytest.approx(
             data["value"], abs=1e-13
@@ -165,34 +153,36 @@ class TestBreakdownSums:
             ["det", "flat-disk", "--radius", "2.5"],
         ],
     )
-    def test_parts_sum_to_total(self, runner, args):
-        data = payload(invoke(runner, args + ["--breakdown"]))
+    def test_parts_sum_to_total(self, args):
+        data = payload(invoke(args + ["--breakdown"]))
         assert math.fsum(data["breakdown"].values()) == pytest.approx(
             data["value"], abs=1e-13
         )
 
 
 class TestValidationAndExitCodes:
-    def test_domain_error_exit_3(self, runner):
-        res = runner.invoke(main, ["det", "disk", "--beta", "-2", "--k", "0"])
+    def test_domain_error_exit_3(self):
+        res = invoke(["det", "disk", "--beta", "-2", "--k", "0"])
         assert res.exit_code == 3
         err = json.loads(res.output)["error"]
         assert err["kind"] == "domain"
 
-    def test_spindle_admissibility_exit_3(self, runner):
-        res = runner.invoke(main, ["det", "spindle", "--beta", "0.5", "--mu", "1.0"])
+    def test_spindle_admissibility_exit_3(self):
+        res = invoke(["det", "spindle", "--beta", "0.5", "--mu", "1.0"])
         assert res.exit_code == 3
 
-    def test_usage_error_exit_2(self, runner):
-        res = runner.invoke(main, ["det", "disk", "--beta", "0.5"])  # missing --k
-        assert res.exit_code == 2
+    def test_usage_error_exit_2(self):
+        res = invoke(["det", "disk", "--beta", "0.5"])  # missing --k
+        err = assert_one_json_error(res, 2, "usage")
+        assert "--k" in err["message"]
 
-    def test_barnes_requires_one_route(self, runner):
-        res = runner.invoke(main, ["barnes-zprime0", "--a", "1.5", "--p", "3", "--q", "2"])
-        assert res.exit_code == 2
+    def test_barnes_requires_one_route(self):
+        res = invoke(["barnes-zprime0", "--a", "1.5", "--p", "3", "--q", "2"])
+        err = assert_one_json_error(res, 2, "usage")
+        assert err["message"] == "give exactly one of --a or --p/--q"
 
-    def test_validation_happens_before_math(self, runner):
-        res = runner.invoke(main, ["cbeta", "--beta", "-1.0"])
+    def test_validation_happens_before_math(self):
+        res = invoke(["cbeta", "--beta", "-1.0"])
         assert res.exit_code == 3
 
     @pytest.mark.parametrize("command", [["det", "flat-sphere"], ["area", "flat-sphere"]])
@@ -212,12 +202,12 @@ class TestValidationAndExitCodes:
         ids=["short-point", "no-points", "string-order", "not-json",
              "nan-order", "inf-point", "nan-point"],
     )
-    def test_malformed_flat_sphere_input(self, runner, tmp_path, command, text, code, kind):
+    def test_malformed_flat_sphere_input(self, tmp_path, command, text, code, kind):
         path = tmp_path / "cfg.json"
         path.write_text(text)
-        res = runner.invoke(main, command + ["--input", str(path), "--tol", "1e-6"])
+        res = invoke(command + ["--input", str(path), "--tol", "1e-6"])
         assert res.exit_code == code
-        lines = res.stdout.splitlines()
+        lines = res.output.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"]["kind"] == kind
 
@@ -277,10 +267,10 @@ HYPERBOLIC_INPUTS = [
 def assert_one_json_error(res, code, kind):
     """Exit ``code``, no traceback, and exactly one stdout line holding a
     JSON error object of the given kind; returns that error object."""
-    assert isinstance(res.exception, SystemExit), res.exc_info
+    assert isinstance(res.exception, SystemExit)
     assert res.exit_code == code
     assert "Traceback" not in res.output
-    lines = res.stdout.splitlines()
+    lines = res.output.splitlines()
     assert len(lines) == 1
     obj = json.loads(lines[0])
     assert isinstance(obj, dict) and set(obj) == {"error"}
@@ -294,15 +284,15 @@ class TestExitCodeTable:
     a warning or a NaN payload that is not valid JSON."""
 
     @pytest.mark.parametrize("args", DOMAIN_ARGS, ids=" ".join)
-    def test_non_finite_arguments(self, runner, args):
+    def test_non_finite_arguments(self, args):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            res = runner.invoke(main, args)
+            res = invoke(args)
         assert_one_json_error(res, 3, "domain")
 
     @pytest.mark.parametrize("args", BAD_TOL_ARGS, ids=" ".join)
-    def test_bad_tolerance_names_the_option(self, runner, args):
-        err = assert_one_json_error(runner.invoke(main, args), 3, "domain")
+    def test_bad_tolerance_names_the_option(self, args):
+        err = assert_one_json_error(invoke(args), 3, "domain")
         assert err["parameter"] == "--tol"
 
     @pytest.mark.parametrize(
@@ -311,14 +301,14 @@ class TestExitCodeTable:
         ids=["no-phi-consts", "not-json", "list", "scalar-orders", "string-order",
              "null-liouville", "nan-order", "nan-phi", "inf-liouville"],
     )
-    def test_malformed_hyperbolic_input(self, runner, tmp_path, text, code, kind):
+    def test_malformed_hyperbolic_input(self, tmp_path, text, code, kind):
         path = tmp_path / "h.json"
         path.write_text(text)
-        res = runner.invoke(main, ["det", "hyperbolic", "--input", str(path)])
+        res = invoke(["det", "hyperbolic", "--input", str(path)])
         assert_one_json_error(res, code, kind)
 
-    def test_unreadable_hyperbolic_input(self, runner, tmp_path):
-        res = runner.invoke(main, ["det", "hyperbolic", "--input", str(tmp_path)])
+    def test_unreadable_hyperbolic_input(self, tmp_path):
+        res = invoke(["det", "hyperbolic", "--input", str(tmp_path)])
         assert_one_json_error(res, 2, "usage")
 
 
@@ -335,10 +325,23 @@ class TestBarnesIntegralLimits:
         ],
         ids=["series-overflow", "tiny-tol", "smallest-tol"],
     )
-    def test_convergence_error_names_input(self, runner, args, named):
-        res = runner.invoke(main, ["barnes-zprime0", *args])
+    def test_convergence_error_names_input(self, args, named):
+        res = invoke(["barnes-zprime0", *args])
         err = assert_one_json_error(res, 4, "convergence")
         assert named in err["message"]
+
+    @pytest.mark.parametrize("args", [
+        ["cbeta", "--beta", "1.7e308"],
+        ["barnes-zprime0", "--a", "1.7e308"],
+    ], ids=" ".join)
+    def test_largest_a_names_a_or_the_float_range(self, args):
+        # past a ~ 8e306 the J(a) bracket series overflows a float; the
+        # cutoff log(10 scale / tol) must not overflow on the way there
+        res = invoke(args)
+        assert res.exit_code in (3, 4)
+        kind = "domain" if res.exit_code == 3 else "convergence"
+        message = assert_one_json_error(res, res.exit_code, kind)["message"]
+        assert "J(1.7e+308)" in message or "float range" in message
 
 
 # Inputs whose result, or a step on the way, leaves the float range; FLAT
@@ -352,6 +355,7 @@ FLOAT_RANGE_ARGS = [
     ["zeta0", "--euler", "2", "--orders", "1e308,1e308"],
     ["det", "hyperbolic", "--input", "HYP"],
     ["det", "flat-sphere", "--input", "FLAT"],
+    ["area", "flat-sphere", "--input", "FAR"],
 ]
 FLOAT_RANGE_FILES = {
     # phi terms of opposite infinite sign: -inf + inf in the sum
@@ -360,6 +364,8 @@ FLOAT_RANGE_FILES = {
     # the area scales like 1e150^-2 and underflows to 0 before its log
     "FLAT": {"points": [[0.0, 0.0], [1e150, 0.0], [0.0, 1e150]],
              "orders": [-2.0 / 3.0] * 3},
+    # squared distances in the outside region would overflow past 1e150
+    "FAR": {"points": [[1e200, 0.0], [0.0, 1.0], [1.0, 0.0]], "orders": [-0.9, -0.9, -0.2]},
 }
 
 
@@ -368,17 +374,17 @@ class TestFloatRange:
     never a NaN or +-inf payload, which is not JSON, nor a traceback."""
 
     @pytest.mark.parametrize("args", FLOAT_RANGE_ARGS, ids=" ".join)
-    def test_domain_error(self, runner, tmp_path, args):
+    def test_domain_error(self, tmp_path, args):
         for i, arg in enumerate(args):
             if arg in FLOAT_RANGE_FILES:
                 path = tmp_path / f"{arg}.json"
                 path.write_text(json.dumps(FLOAT_RANGE_FILES[arg]))
                 args = args[:i] + [str(path)] + args[i + 1:]
-        assert_one_json_error(runner.invoke(main, args), 3, "domain")
+        assert_one_json_error(invoke(args), 3, "domain")
 
-    def test_scan_skips_an_infinite_row(self, runner):
+    def test_scan_skips_an_infinite_row(self):
         args = ["scan", "cbeta", "--start", "1e154", "--stop", "1e156", "--steps", "3"]
-        res = invoke(runner, args)
+        res = invoke(args)
         assert res.exit_code == 0
         lines = res.output.splitlines()
         assert lines[2].startswith("1e+154,")
@@ -387,20 +393,27 @@ class TestFloatRange:
         ] * 2
 
     @pytest.mark.parametrize("mu", ["-1", "nan", "inf"])
-    def test_scan_rejects_bad_mu(self, runner, mu):
-        res = runner.invoke(main, ["scan", "fixed-area", "--mu", mu])
+    def test_scan_rejects_bad_mu(self, mu):
+        res = invoke(["scan", "fixed-area", "--mu", mu])
         assert_one_json_error(res, 3, "domain")
+
+    @pytest.mark.parametrize("steps", ["10001", "10" * 20])
+    def test_scan_rejects_too_many_steps(self, steps):
+        # each row costs milliseconds and the grid is a list: a huge --steps
+        # would run for hours or exhaust memory
+        started = time.perf_counter()
+        res = invoke(["scan", "cbeta", "--steps", steps])
+        assert time.perf_counter() - started < 1.0
+        assert "steps" in assert_one_json_error(res, 3, "domain")["message"]
 
     @pytest.mark.parametrize("args", [
         ["--mc-samples", "20000", "--mc-seed", "-1"],
         ["--mc-samples", "100000000000000"],
     ], ids=["negative-seed", "too-many-samples"])
-    def test_monte_carlo_inputs(self, runner, tmp_path, args):
+    def test_monte_carlo_inputs(self, tmp_path, args):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(FLAT_JSON))
-        res = runner.invoke(
-            main, ["area", "flat-sphere", "--input", str(path), "--tol", "1e-6", *args]
-        )
+        res = invoke(["area", "flat-sphere", "--input", str(path), "--tol", "1e-6", *args])
         assert_one_json_error(res, 3, "domain")
 
 
@@ -418,45 +431,39 @@ class TestBetaOption:
     """--beta is parsed once for every command: a plain integer is an exact
     order, any other number a float, and anything else exits 2."""
 
-    def test_cbeta_integer_takes_the_rational_route(self, runner):
-        plain = json.loads(invoke(runner, ["cbeta", "--beta", "2"]).output)
-        pq = json.loads(invoke(runner, ["cbeta", "--beta", "2", "--p", "3", "--q", "1"]).output)
+    def test_cbeta_integer_takes_the_rational_route(self):
+        plain = json.loads(invoke(["cbeta", "--beta", "2"]).output)
+        pq = json.loads(invoke(["cbeta", "--beta", "2", "--p", "3", "--q", "1"]).output)
         assert plain["meta"]["route"] == "rational"
         assert plain == pq
-        zero = json.loads(invoke(runner, ["cbeta", "--beta", "0"]).output)
+        zero = json.loads(invoke(["cbeta", "--beta", "0"]).output)
         assert zero["payload"]["value"] == 0.0 and zero["meta"]["route"] == "rational"
 
-    def test_cbeta_float_takes_the_integral_route(self, runner):
-        res = json.loads(invoke(runner, ["cbeta", "--beta", "2.0"]).output)
+    def test_cbeta_float_takes_the_integral_route(self):
+        res = json.loads(invoke(["cbeta", "--beta", "2.0"]).output)
         assert res["meta"]["route"] == "integral"
 
     @pytest.mark.parametrize("command", BETA_COMMANDS, ids=" ".join)
-    def test_non_numeric_beta_is_a_usage_error(self, runner, command):
-        res = runner.invoke(main, command + ["--beta", "abc"])
-        assert isinstance(res.exception, SystemExit), res.exc_info
-        assert res.exit_code == 2
-        assert "Traceback" not in res.output
-        assert "--beta" in res.output
+    def test_non_numeric_beta_is_a_usage_error(self, command):
+        res = invoke(command + ["--beta", "abc"])
+        assert assert_one_json_error(res, 2, "usage")["parameter"] == "--beta"
 
     @pytest.mark.parametrize("orders", ["abc", "0.5,abc", "1,,x"])
-    def test_non_numeric_orders_is_a_usage_error(self, runner, orders):
-        res = runner.invoke(main, ["zeta0", "--euler", "2", "--orders", orders])
-        assert isinstance(res.exception, SystemExit), res.exc_info
-        assert res.exit_code == 2
-        assert "Traceback" not in res.output
-        assert "--orders" in res.output
+    def test_non_numeric_orders_is_a_usage_error(self, orders):
+        res = invoke(["zeta0", "--euler", "2", "--orders", orders])
+        assert assert_one_json_error(res, 2, "usage")["parameter"] == "--orders"
 
-    def test_orders_parse_like_beta(self, runner):
-        res = invoke(runner, ["zeta0", "--euler", "2", "--orders", " 1, 0.5,", "--closed"])
+    def test_orders_parse_like_beta(self):
+        res = invoke(["zeta0", "--euler", "2", "--orders", " 1, 0.5,", "--closed"])
         assert payload(res)["value"] == -0.611111111111111
 
     @pytest.mark.parametrize("args", [
         ["det", "spindle", "--beta", "100000000"],
         ["barnes-zprime0", "--p", "100001", "--q", "1"],
     ], ids=" ".join)
-    def test_rational_term_limit_exits_3_fast(self, runner, args):
+    def test_rational_term_limit_exits_3_fast(self, args):
         started = time.perf_counter()
-        res = runner.invoke(main, args)
+        res = invoke(args)
         assert time.perf_counter() - started < 1.0
         assert "p + q" in assert_one_json_error(res, 3, "domain")["message"]
 
@@ -477,13 +484,110 @@ class TestBetaOption:
     @example(command=["cbeta"], text="2.0")
     @example(command=["det", "spindle"], text="100000000")
     def test_fuzz_ends_in_a_value_or_a_structured_error(self, command, text):
-        res = CliRunner().invoke(main, command + ["--beta", text])
+        res = invoke(command + ["--beta", text])
         assert res.exit_code in (0, 2, 3, 4), (text, res.output)
-        assert res.exception is None or isinstance(res.exception, SystemExit), res.exc_info
-        if res.exit_code != 2:
-            lines = res.stdout.splitlines()
-            assert len(lines) == 1
-            assert isinstance(json.loads(lines[0]), dict)
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        lines = res.output.splitlines()
+        assert len(lines) == 1
+        assert isinstance(json.loads(lines[0]), dict)
+
+
+# Number-like option texts: any float's repr (NaN, +-inf, huge, tiny),
+# integers beyond the float range, and text that is not a number.
+NUMBER_TEXT = st.one_of(
+    st.floats().map(repr),
+    st.integers(-10**400, 10**400).map(str),
+    st.sampled_from(["abc", "", "1e400", "-1e-3", " 2 ", "0x10", "1_000", "--beta"]),
+)
+COORDINATE = st.one_of(
+    st.sampled_from([0.0, 1.0, -1.0, 0.5, 2.0]),
+    st.sampled_from([math.nan, math.inf, 1e300, -1e-300, "x", None]),
+)
+FLAT_FILES = st.one_of(
+    st.fixed_dictionaries({
+        "points": st.lists(st.lists(COORDINATE, min_size=2, max_size=2), min_size=3, max_size=3),
+        "orders": st.tuples(st.floats(-0.95, 0.5), st.floats(-0.95, 0.5)).map(
+            lambda b: [b[0], b[1], -2.0 - b[0] - b[1]]),
+    }),
+    st.fixed_dictionaries({
+        "points": st.lists(st.lists(COORDINATE, max_size=3), max_size=4),
+        "orders": st.lists(st.one_of(st.floats(), st.text(max_size=2)), max_size=4),
+    }),
+    st.dictionaries(st.sampled_from(["points", "orders"]), st.integers()),
+)
+HYP_FILES = st.fixed_dictionaries({
+    "orders": st.lists(st.floats(), min_size=3, max_size=4),
+    "phi_consts": st.lists(st.floats(), min_size=3, max_size=4),
+    "liouville_integral": st.one_of(st.floats(), st.none()),
+})
+# command -> the options whose text is fuzzed; the fixed part keeps each run cheap
+FUZZED_OPTIONS = {
+    ("cbeta", "--beta", "0.5"): ("--tol",),
+    ("barnes-zprime0", "--a", "1.5"): ("--tol",),
+    ("det", "spindle", "--beta", "1"): ("--mu", "--k", "--tol"),
+    ("det", "spindle-area4pi", "--beta", "1"): ("--mu", "--tol"),
+    ("det", "disk", "--beta", "0.5", "--k", "1"): ("--k", "--tol"),
+    ("det", "flat-disk", "--radius", "1"): ("--radius",),
+    ("distance", "spindle", "--beta", "0"): ("--mu", "--k"),
+    ("zeta0", "--euler", "2"): ("--orders",),
+    ("scan", "cbeta", "--steps", "3"): ("--start", "--stop", "--steps"),
+    ("scan", "fixed-area", "--steps", "3"): ("--start", "--stop", "--steps", "--mu"),
+    ("det", "hyperbolic", "--input", "HYP"): ("--tol",),
+    ("det", "flat-sphere", "--tol", "1e-3", "--input", "FLAT"): (),
+    ("area", "flat-sphere", "--tol", "1e-3", "--input", "FLAT"): (),
+}
+
+
+# --steps texts: the extremes and non-integers; a valid count above 5 only
+# costs time (each row takes milliseconds)
+STEPS_TEXT = st.one_of(
+    st.integers(-2, 5).map(str),
+    st.integers(10_001, 10**400).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["abc", "", "3.0", "1e3"]),
+)
+
+
+@st.composite
+def fuzzed_argv(draw):
+    command = draw(st.sampled_from(sorted(FUZZED_OPTIONS)))
+    argv = list(command)
+    for name in FUZZED_OPTIONS[command]:
+        if name == "--orders":
+            argv += [name, ",".join(draw(st.lists(NUMBER_TEXT, max_size=3)))]
+        elif name == "--steps":
+            argv += [name, draw(STEPS_TEXT)]
+        elif draw(st.booleans()):
+            argv += [name, draw(NUMBER_TEXT)]
+    return argv
+
+
+class TestFuzzOptions:
+    """Every option's text and every input file ends in exit 0, 2, 3 or 4
+    with one JSON object on stdout (a scan's CSV on exit 0), and nothing but
+    SystemExit is raised."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(argv=fuzzed_argv(), flat=FLAT_FILES, hyp=HYP_FILES)
+    @example(argv=["scan", "cbeta", "--steps", "3", "--start", "-1e-3"], flat={}, hyp={})
+    @example(argv=["zeta0", "--euler", "2", "--orders", "-0.5,-0.25"], flat={}, hyp={})
+    @example(argv=["det", "spindle", "--beta", "1", "--k", "--beta"], flat={}, hyp={})
+    def test_exit_and_output(self, tmp_path_factory, argv, flat, hyp):
+        files = {"FLAT": flat, "HYP": hyp}
+        for i, arg in enumerate(argv):
+            if arg in files:
+                path = tmp_path_factory.getbasetemp() / f"fuzz-{arg}.json"
+                path.write_text(json.dumps(files[arg]))
+                argv[i] = str(path)
+        res = invoke(argv)
+        assert res.exit_code in (0, 2, 3, 4), (argv, res.output)
+        if argv[0] == "scan" and res.exit_code == 0:
+            assert res.output.startswith("# generated-by: conedet scan "), argv
+            return
+        lines = res.output.splitlines()
+        assert len(lines) == 1, (argv, res.output)
+        obj = json.loads(lines[0])
+        assert set(obj) == ({"payload", "meta"} if res.exit_code == 0 else {"error"}), argv
 
 
 # One fast invocation of every JSON command; FLAT and HYP stand for input files.
@@ -508,13 +612,22 @@ def _command_path(args):
     return " ".join(itertools.takewhile(lambda a: not a.startswith("--"), args))
 
 
-def _timed_commands(group, prefix=""):
-    for name, cmd in group.commands.items():
-        path = f"{prefix}{name}"
-        if isinstance(cmd, click.Group):
-            yield from _timed_commands(cmd, path + " ")
-        elif any(param.name == "timing" for param in cmd.params):
-            yield path
+def _command_parsers(parser, path=""):
+    """(command path, parser) for every command of the argparse tree."""
+    subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subparsers:
+        yield path, parser
+    for action in subparsers:
+        for name, sub in action.choices.items():
+            yield from _command_parsers(sub, f"{path} {name}".strip())
+
+
+def test_a_command_parses_as_in_the_tree():
+    # a process builds only the parser of the command it runs
+    commands = dict(_command_parsers(build_parser()))
+    assert sorted(commands) == sorted(COMMANDS)
+    for path, node in commands.items():
+        assert _command_parser("conedet", path).format_help() == node.format_help()
 
 
 class TestTiming:
@@ -529,13 +642,15 @@ class TestTiming:
         return {"FLAT": str(flat), "HYP": str(hyp)}
 
     def test_every_json_command_is_listed(self):
-        assert sorted(_timed_commands(main)) == sorted(map(_command_path, TIMED_ARGS))
+        timed = [path for path, parser in _command_parsers(build_parser())
+                 if "--timing" in parser._option_string_actions]
+        assert sorted(timed) == sorted(map(_command_path, TIMED_ARGS))
 
     @pytest.mark.parametrize("args", TIMED_ARGS, ids=_command_path)
-    def test_wall_time_only_with_flag(self, runner, files, args):
+    def test_wall_time_only_with_flag(self, files, args):
         args = [files.get(a, a) for a in args]
-        plain = json.loads(invoke(runner, args).output)
-        timed = json.loads(invoke(runner, args + ["--timing"]).output)
+        plain = json.loads(invoke(args).output)
+        timed = json.loads(invoke(args + ["--timing"]).output)
         assert "wall_time_s" not in plain["meta"]
         wall = timed["meta"].pop("wall_time_s")
         assert isinstance(wall, float) and math.isfinite(wall) and wall >= 0.0
@@ -545,74 +660,65 @@ class TestTiming:
 IMPORT_PROBE = """
 import json, sys
 loaded = {}
+def record(step):
+    loaded[step] = sorted(m for m in sys.modules
+                          if m in ("click", "numpy", "scipy") or m.startswith("conedet."))
 import conedet
-loaded["import conedet"] = "scipy" in sys.modules
+record("import conedet")
 import conedet.cli
-loaded["import conedet.cli"] = "scipy" in sys.modules
-for argv in (["cbeta", "--beta", "0.5"], ["scan", "fixed-area"]):
+record("import conedet.cli")
+for argv in (["cbeta", "--beta", "0.5"], ["barnes-zprime0", "--a", "1.37"],
+             ["zeta0", "--euler", "2", "--orders", "1,1", "--closed"],
+             ["det", "spindle", "--beta", "1"], ["scan", "fixed-area"]):
     conedet.cli.main(argv, standalone_mode=False)
-    loaded[" ".join(argv)] = "scipy" in sys.modules
+    record(" ".join(argv[:2]))
 cfg = conedet.FlatSphereConfig(points=[0j, 1 + 0j, -1 + 0j], orders=[-2 / 3] * 3)
 conedet.flat_sphere_area(cfg, 1e-6)
-loaded["flat_sphere_area"] = "scipy" in sys.modules
-print(json.dumps(loaded))
+record("flat_sphere_area")
+unresolved = [name for name in conedet.__all__ if getattr(conedet, name, None) is None]
+record("conedet.__all__")
+print(json.dumps({"loaded": loaded, "unresolved": unresolved}))
 """
 
 
-def test_scipy_stays_off_the_import_path():
-    """SciPy is never loaded: not by importing the package, not by a
-    closed-form command and not by a flat-sphere area. A fresh interpreter
-    is needed because this test process may already hold SciPy."""
+@pytest.fixture(scope="module")
+def import_probe():
+    """The modules loaded after each step of IMPORT_PROBE, run in a fresh
+    interpreter because this test process already holds NumPy and more."""
     src = str(Path(conedet.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=env,
                           capture_output=True, text=True, check=True)
-    loaded = json.loads(proc.stdout.splitlines()[-1])
-    assert loaded == {
-        "import conedet": False,
-        "import conedet.cli": False,
-        "cbeta --beta 0.5": False,
-        "scan fixed-area": False,
-        "flat_sphere_area": False,
-    }
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
-NUMPY_PROBE = """
-import json, sys
-loaded = {}
-import conedet
-loaded["import conedet"] = "numpy" in sys.modules
-import conedet.cli
-loaded["import conedet.cli"] = "numpy" in sys.modules
-for argv in (["cbeta", "--beta", "0.5"], ["scan", "fixed-area"], ["barnes-zprime0", "--a", "1.37"]):
-    conedet.cli.main(argv, standalone_mode=False)
-    loaded[" ".join(argv)] = "numpy" in sys.modules
-cfg = conedet.FlatSphereConfig(points=[0j, 1 + 0j, -1 + 0j], orders=[-2 / 3] * 3)
-conedet.flat_sphere_area(cfg, 1e-6)
-loaded["flat_sphere_area"] = "numpy" in sys.modules
-print(json.dumps(loaded))
-"""
+def test_scipy_stays_off_the_import_path(import_probe):
+    """SciPy is never loaded: not by importing the package, not by a
+    closed-form command and not by a flat-sphere area."""
+    assert not [step for step, mods in import_probe["loaded"].items() if "scipy" in mods]
 
 
-def test_numpy_loads_only_for_the_flat_sphere_area():
+def test_numpy_loads_only_for_the_flat_sphere_area(import_probe):
     """J(a), the closed forms and the scans run on Python floats; NumPy is
-    first imported by the flat-sphere area. A fresh interpreter is needed
-    because this test process already holds NumPy."""
-    src = str(Path(conedet.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE], env=env,
-                          capture_output=True, text=True, check=True)
-    loaded = json.loads(proc.stdout.splitlines()[-1])
-    assert loaded == {
-        "import conedet": False,
-        "import conedet.cli": False,
-        "cbeta --beta 0.5": False,
-        "scan fixed-area": False,
-        "barnes-zprime0 --a 1.37": False,
-        "flat_sphere_area": True,
-    }
+    first imported by the flat-sphere area."""
+    with_numpy = [step for step, mods in import_probe["loaded"].items() if "numpy" in mods]
+    assert with_numpy == ["flat_sphere_area", "conedet.__all__"]
+
+
+def test_each_command_loads_only_what_it_needs(import_probe):
+    """The package imports its submodules on first use, the CLI parses
+    without Click, and each command body imports only its formula modules."""
+    loaded = import_probe["loaded"]
+    assert loaded["import conedet"] == []
+    assert loaded["import conedet.cli"] == ["conedet.cli", "conedet.errors"]
+    for step in ("cbeta --beta", "barnes-zprime0 --a", "zeta0 --euler"):
+        assert "conedet.determinants" not in loaded[step], step
+        assert "conedet.extremal" not in loaded[step], step
+    assert "conedet.determinants" in loaded["det spindle"]
+    assert "conedet.extremal" not in loaded["det spindle"]
+    assert not [step for step, mods in loaded.items() if "click" in mods]
+    assert import_probe["unresolved"] == []
 
 
 class TestDeterminism:
@@ -625,22 +731,21 @@ class TestDeterminism:
             ["find-max", "--tol", "1e-6"],
         ],
     )
-    def test_bit_identical_output(self, runner, args):
-        first = invoke(runner, args).output
-        second = invoke(runner, args).output
+    def test_bit_identical_output(self, args):
+        first = invoke(args).output
+        second = invoke(args).output
         assert first == second
 
-    def test_scan_deterministic_with_mc_free_path(self, runner, tmp_path):
-        out1 = invoke(runner, ["scan", "cbeta", "--start", "-0.5", "--stop", "2", "--steps", "7"]).output
-        out2 = invoke(runner, ["scan", "cbeta", "--start", "-0.5", "--stop", "2", "--steps", "7"]).output
+    def test_scan_deterministic_with_mc_free_path(self, tmp_path):
+        out1 = invoke(["scan", "cbeta", "--start", "-0.5", "--stop", "2", "--steps", "7"]).output
+        out2 = invoke(["scan", "cbeta", "--start", "-0.5", "--stop", "2", "--steps", "7"]).output
         assert out1 == out2
 
 
 class TestCsvOutput:
-    def test_header_and_precision(self, runner, tmp_path):
+    def test_header_and_precision(self, tmp_path):
         out = tmp_path / "curve.csv"
         res = invoke(
-            runner,
             ["scan", "fixed-area", "--start", "-0.5", "--stop", "0.5", "--steps", "3",
              "--out", str(out)],
         )
@@ -654,10 +759,10 @@ class TestCsvOutput:
         assert float(x) == 0.0
         assert float(v) == pytest.approx(math.exp(1.1616845748018039), rel=1e-12)
 
-    def test_overflowing_row_is_skipped(self, runner):
+    def test_overflowing_row_is_skipped(self):
         # near beta = -1 the fixed-area log-determinant passes 709, so
         # exp(logdet) overflows; that row is skipped with its log value
-        res = invoke(runner, ["scan", "fixed-area", "--start", "-0.9999", "--stop", "0", "--steps", "3"])
+        res = invoke(["scan", "fixed-area", "--start", "-0.9999", "--stop", "0", "--steps", "3"])
         assert res.exit_code == 0
         lines = res.output.splitlines()
         skipped = [line for line in lines if line.startswith("# skipped")]
@@ -666,7 +771,7 @@ class TestCsvOutput:
         assert "log-determinant" in skipped[0]
         assert len(lines) == 5
 
-    def test_json_round_trip_full_precision(self, runner):
-        res = invoke(runner, ["barnes-zprime0", "--p", "7", "--q", "4"])
+    def test_json_round_trip_full_precision(self):
+        res = invoke(["barnes-zprime0", "--p", "7", "--q", "4"])
         value = payload(res)["value"]
         assert json.loads(json.dumps({"v": value}))["v"] == value

@@ -8,6 +8,7 @@ from conedet import (
     zeta_prime_minus1,
     zeta_prime_minus1_glaisher,
 )
+from conedet.constants import _zeta_prime_2
 
 
 def test_gamma_sanity_band():
@@ -42,3 +43,15 @@ def test_constants_record():
     assert c.euler_gamma == euler_gamma()
     assert c.zeta_prime_minus1 == zeta_prime_minus1()
     assert abs(c.log_2pi - math.log(2 * math.pi)) == 0.0
+
+
+def test_zeta_prime_2_is_correctly_rounded():
+    # zeta'_R(2) = -0.93754825431584375370257409457 (30 digits) rounds to this
+    assert _zeta_prime_2().hex() == "-0x1.e00653256ab8ap-1"
+
+
+def test_zeta_prime_minus1_pinned():
+    # Every closed form leans on this value, so it must not move by a bit.
+    # It is 2 ulps from zeta'_R(-1) = -0.16542114370045092921 (-0x1.52c8521215341p-3),
+    # mostly through euler_gamma(), which is 5 ulps above gamma.
+    assert zeta_prime_minus1().hex() == "-0x1.52c8521215343p-3"

@@ -52,6 +52,8 @@ GUARDED = [
     ("ScanGrid(start={})", lambda v: ScanGrid(param="beta", start=v, stop=1.0, steps=3), -1.0),
     ("ScanGrid(stop={})", lambda v: ScanGrid(param="beta", start=0.0, stop=v, steps=3)),
     ("ScanGrid(param='mu', stop={})", lambda v: ScanGrid(param="mu", start=0.0, stop=v, steps=3)),
+    ("ScanGrid(steps={})", lambda v: ScanGrid(param="beta", start=0.0, stop=1.0, steps=v),
+     1, 10_001, 10**20),
     ("ScanGrid(fixed_other={})",
      lambda v: ScanGrid(param="beta", start=0.0, stop=1.0, steps=3, fixed_other=v), -1.0),
     ("ScanGrid(param='mu', fixed_other={})",
@@ -78,6 +80,8 @@ GUARDED = [
     ("dedekind_sum({}, 3)", lambda v: dedekind_sum(v, 3), 0, 1.5, True),
     ("dedekind_sum(1, {})", lambda v: dedekind_sum(1, v), 0, 1.5, True),
     # radii, scales and covering data
+    ("FlatSphereConfig(points=({}, 1, 1j))",
+     lambda v: FlatSphereConfig(points=(v, 1, 1j), orders=(-2 / 3,) * 3), 1.01e150, -2e150j),
     ("logdet_flat_disk({})", logdet_flat_disk, 0.0),
     ("rescale_logdet(1, 0.1, {})", lambda v: rescale_logdet(1.0, 0.1, v), 0.0),
     ("logdet_pullback({}, 1, 0, 0)", lambda v: logdet_pullback(v, 1.0, 0.0, 0.0), 0.0),
