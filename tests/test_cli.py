@@ -10,12 +10,12 @@ import warnings
 from pathlib import Path
 
 import pytest
-from conftest import invoke
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import conedet
 from conedet.cli import COMMANDS, _command_parser, build_parser
+from conftest import invoke
 
 
 def payload(result):
