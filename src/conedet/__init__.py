@@ -7,8 +7,8 @@ cross-checking routes (rational closed form, integral representation,
 Taylor expansion), with deterministic adaptive quadrature and a
 Monte-Carlo oracle for the improper area integrals.
 
-``import conedet`` loads no submodule: each public name is imported from
-its submodule on first access and then kept here.
+``import conedet`` loads no submodule: each public name, and each submodule
+that exports them, is imported on first access and then kept here.
 """
 
 from importlib import import_module
@@ -94,6 +94,8 @@ __version__ = "0.1.0"
 
 
 def __getattr__(name):
+    if name in _EXPORTS:
+        return import_module(f"{__name__}.{name}")
     if name not in _SUBMODULE:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     value = getattr(import_module(f"{__name__}.{_SUBMODULE[name]}"), name)

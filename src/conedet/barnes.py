@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import expm1, factorial, fsum, isfinite, log
 
 from . import kernels
-from .constants import euler_gamma, zeta_prime_minus1
+from .constants import BERNOULLI_2K, euler_gamma, zeta_prime_minus1
 from .errors import ConvergenceError, DomainError, check_positive
 from .quadrature import integrate_adaptive
 from .special import LOG_2PI, RationalOrder, dedekind_sum, log_gamma, sawtooth
@@ -44,21 +44,6 @@ MAX_RATIONAL_TERMS = 100_000
 
 _LOG_MAX_FLOAT = log(sys.float_info.max)
 
-# B_4, B_6, ..., B_22: the series terms of the J(a) bracket up to its
-# crossover radius (see _bracket_coefficients for the truncation bound).
-_BERNOULLI = (
-    Fraction(-1, 30),
-    Fraction(1, 42),
-    Fraction(-1, 30),
-    Fraction(5, 66),
-    Fraction(-691, 2730),
-    Fraction(7, 6),
-    Fraction(-3617, 510),
-    Fraction(43867, 798),
-    Fraction(-174611, 330),
-    Fraction(854513, 138),
-)
-
 
 def _bracket_coefficients(a: float):
     """Crossover x0 = 0.35 min(a, 1) and series coefficients for the J(a)
@@ -76,8 +61,8 @@ def _bracket_coefficients(a: float):
     for a below about 2e-15, (2k - 1) a for a above about 8e306.
     """
     gs = [
-        float(b) / factorial(2 * k) * (a ** (1 - 2 * k) + (2 * k - 1) * a)
-        for k, b in enumerate(_BERNOULLI, start=2)
+        b / factorial(2 * k) * (a ** (1 - 2 * k) + (2 * k - 1) * a)
+        for k, b in enumerate(BERNOULLI_2K[1:], start=2)
     ]
     if not all(map(isfinite, gs)):
         raise OverflowError("bracket series coefficient is not finite")

@@ -12,10 +12,9 @@ timing is therefore opt-in via --timing, which adds ``meta.wall_time_s``.
 tolerance, and ``--beta`` by ``_beta_value``, the one place where it parses
 one.
 
-The parser is the standard library's argparse.  A process builds the
-parser of the one command it runs, and that command's body imports the
-formula modules it uses when it runs, so a process loads only what its
-command needs.
+The parser is the standard library's argparse.  Each command's body
+imports the formula modules it uses when it runs, so a process loads only
+what its command needs.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ class _Parser(argparse.ArgumentParser):
     -0.5,-0.2``)."""
 
     def error(self, message):
-        named = re.match(r"argument (--[^/:]+)", message)
+        named = re.search(r"(?:^argument |required: )(--[\w-]+)", message)
         _usage(message, named.group(1) if named else None)
 
     def _parse_optional(self, arg_string):
@@ -134,27 +133,15 @@ def command(path: str, *options, json_output: bool = True):
     return register
 
 
-def _add_options(parser: argparse.ArgumentParser, path: str) -> argparse.ArgumentParser:
-    fn, options, json_output = COMMANDS[path]
-    for flags, kwargs in options:
-        parser.add_argument(*flags, **kwargs)
-    if json_output:
-        parser.add_argument("--timing", action="store_true",
-                            help="Add the wall time as meta.wall_time_s.")
-    parser.set_defaults(body=fn, json_output=json_output)
-    return parser
-
-
 @lru_cache(maxsize=1)
 def build_parser(prog: str = "conedet") -> argparse.ArgumentParser:
-    """The whole command tree: it serves ``--help`` and the usage errors of
-    an argument list that names no command."""
+    """The whole command tree, built once per process."""
     parser = _Parser(
         prog=prog,
         description="Determinants of Laplacians on surfaces with conical singularities.",
     )
     subcommands = {(): parser.add_subparsers(required=True, metavar="COMMAND")}
-    for path, (fn, _, _) in COMMANDS.items():
+    for path, (fn, options, json_output) in COMMANDS.items():
         *group, name = path.split()
         group = tuple(group)
         if group not in subcommands:
@@ -162,16 +149,13 @@ def build_parser(prog: str = "conedet") -> argparse.ArgumentParser:
             subcommands[group] = sub.add_subparsers(required=True, metavar="COMMAND")
         cmd = subcommands[group].add_parser(name, help=fn.__doc__.splitlines()[0],
                                             description=fn.__doc__)
-        _add_options(cmd, path)
+        for flags, kwargs in options:
+            cmd.add_argument(*flags, **kwargs)
+        if json_output:
+            cmd.add_argument("--timing", action="store_true",
+                             help="Add the wall time as meta.wall_time_s.")
+        cmd.set_defaults(body=fn, json_output=json_output)
     return parser
-
-
-@lru_cache(maxsize=None)  # one entry per command
-def _command_parser(prog: str, path: str) -> argparse.ArgumentParser:
-    """The parser of one command, the same as its node in ``build_parser``;
-    a process that runs one command builds only this one."""
-    return _add_options(_Parser(prog=f"{prog} {path}", description=COMMANDS[path][0].__doc__),
-                        path)
 
 
 def main(args=None, prog_name: str = "conedet", standalone_mode: bool = True) -> None:
@@ -186,12 +170,7 @@ def main(args=None, prog_name: str = "conedet", standalone_mode: bool = True) ->
     or a math ValueError (log of 0, inf - inf in fsum, a NaN or inf refused
     by the JSON output) is a result outside the float range: exit 3 as well.
     """
-    argv = sys.argv[1:] if args is None else list(args)
-    path = next((p for p in COMMANDS if argv[:p.count(" ") + 1] == p.split()), None)
-    if path is None:
-        opts = vars(build_parser(prog_name).parse_args(argv))
-    else:
-        opts = vars(_command_parser(prog_name, path).parse_args(argv[path.count(" ") + 1:]))
+    opts = vars(build_parser(prog_name).parse_args(sys.argv[1:] if args is None else args))
     body, json_output, timing = opts.pop("body"), opts.pop("json_output"), opts.pop("timing", False)
     try:
         started = time.perf_counter()

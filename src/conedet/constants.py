@@ -55,8 +55,21 @@ def euler_gamma() -> float:
     return h - log(n) + corr
 
 
-# B_2, B_4, ..., B_12: the Euler-Maclaurin corrections of _zeta_prime_2
-_BERNOULLI_2K = (1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0, -1.0 / 30.0, 5.0 / 66.0, -691.0 / 2730.0)
+# B_2, B_4, ..., B_22: B_2..B_12 are the Euler-Maclaurin corrections of
+# _zeta_prime_2, B_4..B_22 the series terms of the Barnes J(a) bracket.
+BERNOULLI_2K = (
+    1 / 6,
+    -1 / 30,
+    1 / 42,
+    -1 / 30,
+    5 / 66,
+    -691 / 2730,
+    7 / 6,
+    -3617 / 510,
+    43867 / 798,
+    -174611 / 330,
+    854513 / 138,
+)
 
 
 @lru_cache(maxsize=1)
@@ -74,7 +87,7 @@ def _zeta_prime_2() -> float:
     log_x = log(x)
     terms = [log(k) / (k * k) for k in range(2, n)]
     terms += [(log_x + 1.0) / x, log_x / (2.0 * x * x)]
-    for k, b in enumerate(_BERNOULLI_2K, start=1):
+    for k, b in enumerate(BERNOULLI_2K[:6], start=1):
         harmonic = fsum(1.0 / j for j in range(1, 2 * k + 1))
         terms.append(b * x ** -(2 * k + 1) * (log_x - harmonic + 1.0))
     return -fsum(terms)
