@@ -96,8 +96,12 @@ def option(*flags, **kwargs):
     return flags, kwargs
 
 
-def tol_option(default: float):
-    return option("--tol", type=_tol, default=default, help=f"Tolerance (default {default:g}).")
+def tol_option(default: float, what: str = "Tolerance"):
+    return option("--tol", type=_tol, default=default, help=f"{what} (default {default:g}).")
+
+
+# the flat-sphere area's tolerance is absolute, not relative to the area
+AREA_TOL = tol_option(1e-8, "Absolute tolerance on the area, not relative to it")
 
 
 BETA = option("--beta", type=_beta_value, metavar="NUMBER", required=True,
@@ -340,7 +344,7 @@ def det_spindle_area4pi(beta, mu, tol, breakdown):
 @command(
     "det flat-sphere",
     INPUT,
-    tol_option(1e-8),
+    AREA_TOL,
     option("--form", choices=["cone", "as"], default="cone",
            help="Which of the two equivalent singular-term assemblies to use."),
     BREAKDOWN,
@@ -409,7 +413,7 @@ def det_hyperbolic(input_path, tol, breakdown):
 @command(
     "area flat-sphere",
     INPUT,
-    tol_option(1e-8),
+    AREA_TOL,
     option("--mc-samples", type=int, help="Also run the Monte-Carlo oracle."),
     option("--mc-seed", type=int, default=0),
 )

@@ -2,10 +2,13 @@
 
 product_density(x, y, px, py, orders)
     prod_j ((x - px_j)^2 + (y - py_j)^2)^(orders_j) elementwise over
-    float64 sample arrays of any shape, for the flat-sphere area.  A sample
-    coinciding with a singular point produces 0.0 for a positive order and
-    +inf for a negative one.  This is the only kernel that needs NumPy,
-    which it imports on first call.
+    float64 sample arrays of any shape.  A sample coinciding with a singular
+    point produces 0.0 for a positive order and +inf for a negative one.
+    This is the only kernel that needs NumPy, which it imports on first
+    call.  The flat-sphere area calls it for the cone patches' rings and the
+    Monte-Carlo oracle; the outside region forms the same product itself,
+    in the same cone order, from the squared distances it already holds for
+    the patch windows (bit-identical values).
 
 j_bracket(x, a, x0, coeffs)
     The bracket

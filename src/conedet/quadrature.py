@@ -1,31 +1,26 @@
 """Numerical integration: adaptive Gauss-Kronrod quadrature on finite
-intervals, and the improper plane integral giving the total area of a flat
-conical-metric sphere, cross-validated by an importance-sampled Monte-Carlo
-estimator.
+intervals, and the total area of a flat conical-metric sphere as an improper
+plane integral, cross-validated by an importance-sampled Monte-Carlo oracle.
 
 The area integrand prod_j |z - p_j|^(2 beta_j) is integrable at each p_j
-(beta_j > -1) and decays like |z|^-4 (sum beta_j = -2).  The plane is split
-with a smooth partition of unity into
+(beta_j > -1) and decays like |z|^-4 (sum beta_j = -2).  A smooth partition
+of unity splits the plane into
 
-* a polar patch around each singularity, where the radial direction is
-  integrated with a Gauss-Jacobi rule carrying the exact weight
-  s^(2 beta_j + 1) (the change of variable u = s^(2b+2)/(2b+2) absorbs
-  the power law; the Jacobi rule is that substitution composed with a rule
-  exact for the induced measure, built here by Golub-Welsch),
+* a polar patch around each singularity: a Gauss-Jacobi rule (Golub-Welsch)
+  carries the radial weight s^(2 beta_j + 1) exactly, and
+  kernels.product_density gives the other cones' factors on each ring;
 * the rest of the plane, in polar coordinates about the origin with the
-  radius mapped to t in [0, 1) by r = c t / (1 - t): the degree condition
-  makes the mapped integrand analytic at t = 1, where it vanishes, so the
-  radial adaptive Gauss-Kronrod needs no window at infinity; its first
-  panels are split where the patch windows begin and end.
+  radius mapped to t in [0, 1) by r = c t / (1 - t), where the integrand is
+  analytic and vanishes at t = 1; its first Gauss-Kronrod panels are split
+  where the patch windows begin and end.  One pass of squared distances per
+  cone yields the density and the points where that cone's window can be
+  nonzero, the only points where the window is evaluated.
 
-Every region takes its angle means from one spectrally convergent periodic
-trapezoid: the means at all radial nodes of one Gauss-Kronrod panel or one
-Gauss-Jacobi rule are evaluated together as one array, and each node's row
-stops doubling on its own test.
-
-All schemes are deterministic for fixed inputs: panel selection uses a
-worst-first heap with sequence-number tie-breaking, and final sums are
-compensated (math.fsum) in a fixed order.
+Every region takes its angle means from one periodic trapezoid over the
+rows of all radial nodes of a panel or a Jacobi rule, each row doubling up
+to _ANGLE_CAP points on its own test.  All schemes are deterministic: panel
+selection uses a worst-first heap with sequence-number tie-breaking, and
+final sums are compensated (math.fsum) in a fixed order.
 """
 
 from __future__ import annotations
@@ -84,6 +79,7 @@ _WG = tuple(w for g in _G7_WEIGHTS for w in (0.0, g)) + (0.0,)
 _EPS = sys.float_info.epsilon
 
 MAX_MC_SAMPLES = 10**7  # flat_sphere_area_mc's sample cap
+_ANGLE_CAP = 1 << 14  # most points of one angle row of the flat-sphere area
 MAX_COORDINATE = 1e150  # FlatSphereConfig's bound on |Re p| and |Im p|
 
 
@@ -95,13 +91,14 @@ class QuadratureReport:
     error_estimate: float
     evaluations: int
     converged: bool
+    capped_rows: int = 0  # angle rows that reached the trapezoid's point cap
 
     def require_converged(self, what: str) -> "QuadratureReport":
-        """This report, or ConvergenceError naming ``what`` if it did not converge."""
+        """This report, or ConvergenceError naming ``what`` and any capped rows."""
         if not self.converged:
-            raise ConvergenceError(
-                f"{what} quadrature did not converge (estimate {self.error_estimate:.3e})"
-            )
+            cap = f"; {self.capped_rows} angle rows reached the {_ANGLE_CAP}-point cap"
+            raise ConvergenceError(f"{what} quadrature did not converge (estimate "
+                                   f"{self.error_estimate:.3e}{cap if self.capped_rows else ''})")
         return self
 
 
@@ -273,22 +270,11 @@ def _window(t):
     """C^inf step: 1 for t <= 1/2, 0 for t >= 1, exp-smooth between."""
     import numpy as np
 
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    out[t <= 0.5] = 1.0
-    mid = (t > 0.5) & (t < 1.0)
-    tm = t[mid]
-    hi = np.exp(-1.0 / (1.0 - tm))
-    lo = np.exp(-1.0 / (tm - 0.5))
-    out[mid] = hi / (hi + lo)
-    return out
-
-
-def _density(cfg: FlatSphereConfig, x, y, skip=None):
-    px = [p.real for j, p in enumerate(cfg.points) if j != skip]
-    py = [p.imag for j, p in enumerate(cfg.points) if j != skip]
-    orders = [b for j, b in enumerate(cfg.orders) if j != skip]
-    return kernels.product_density(x, y, px, py, orders)
+    # clamped strictly into (1/2, 1), the formula gives exactly 1.0 and 0.0 at the ends
+    t = np.minimum(np.maximum(t, 0.5 + 0.5 * _EPS), 1.0 - 0.5 * _EPS)
+    hi = np.exp(-1.0 / (1.0 - t))
+    lo = np.exp(-1.0 / (t - 0.5))
+    return hi / (hi + lo)
 
 
 def _patch_term(cfg: FlatSphereConfig, j: int, radius: float, tol: float):
@@ -308,51 +294,60 @@ def _patch_term(cfg: FlatSphereConfig, j: int, radius: float, tol: float):
     scale = 2.0 * pi * (0.5 * radius) ** (alpha + 1.0)
     # the Jacobi weights sum to 2^(alpha+1)/(alpha+1)
     row_tol = tol / (2.0 * scale * 2.0 ** (alpha + 1.0) / (alpha + 1.0))
+    px, py, orders = zip(*[(p.real, p.imag, b) for p, b in zip(cfg.points, cfg.orders) if p != pj])
 
     def ring(s, phi):
-        return _density(cfg, pj.real + s * np.cos(phi), pj.imag + s * np.sin(phi), skip=j)
+        return kernels.product_density(
+            pj.real + s * np.cos(phi), pj.imag + s * np.sin(phi), px, py, orders
+        )
 
     def level(n_rad):
         x, w = _jacobi_rule(n_rad, alpha)
         s = radius * 0.5 * (x + 1.0)
-        means, evals, ok = _theta_means(ring, s, row_tol)
-        return scale * float(w @ (_window(s / radius) * means)), evals, ok
+        capped = [0]
+        means, evals, _ = _theta_means(ring, s, row_tol, _ANGLE_CAP, capped)
+        return scale * float(w @ (_window(s / radius) * means)), evals, capped[0]
 
     n_rad = 12
     prev, total_evals, _ = level(n_rad)
     while True:
         n_rad *= 2
-        cur, evals, ok = level(n_rad)
+        cur, evals, capped = level(n_rad)
         total_evals += evals
         err = abs(cur - prev)
         if err <= tol / 2.0 or n_rad > 800:
-            return QuadratureReport(cur, err + tol / 2.0, total_evals, ok and err <= tol / 2.0)
+            ok = not capped and err <= tol / 2.0
+            return QuadratureReport(cur, err + tol / 2.0, total_evals, ok, capped)
         prev = cur
 
 
-def _theta_means(fn, rs, tol: float, cap: int = 1 << 14):
+def _theta_means(fn, rs, tol: float, cap: int, capped=None):
     """Mean over theta in [0, 2 pi) of fn(r, theta) for each r in ``rs``.
 
     Trapezoid doubling that reuses points.  All rows start at 32 points and
     share the doubled level, but each row keeps its own stopping test, and
     only rows still refining get new points.  Returns the means, the summed
-    evaluation count and whether every row converged before ``cap``.
+    evaluation count and whether every row converged before ``cap``; the
+    number of rows that did not is added to ``capped[0]`` when given.
     """
     import numpy as np
 
     col = rs[:, None]
     m = 32
-    means = fn(col, 2.0 * pi * np.arange(m) / m).mean(axis=1)
+    # np.add.reduce(...) / m is .mean(axis=1) without its Python overhead
+    means = np.add.reduce(fn(col, 2.0 * pi * np.arange(m) / m), axis=1) / m
     evals = m * len(rs)
     live = np.arange(len(rs))
     while m < cap and live.size:
-        new = fn(col[live], 2.0 * pi * (np.arange(m) + 0.5) / m).mean(axis=1)
+        new = np.add.reduce(fn(col[live], 2.0 * pi * (np.arange(m) + 0.5) / m), axis=1) / m
         evals += m * live.size
         means2 = 0.5 * (means[live] + new)
         m *= 2
         done = np.abs(means2 - means[live]) <= tol
         means[live] = means2
         live = live[~done]
+    if capped is not None:
+        capped[0] += live.size
     return means, evals, live.size == 0
 
 
@@ -368,32 +363,30 @@ def _polar_iterated(fn, r_hi: float, tol: float, breakpoints=()):
 
     inner_tol = tol / (4.0 * pi * r_hi * r_hi)
     evals = [0]
-    inner_ok = [True]
+    capped = [0]
 
     def radial(rs):
         rs = np.asarray(rs)
-        means, n, ok = _theta_means(fn, rs, inner_tol)
+        means, n, _ = _theta_means(fn, rs, inner_tol, _ANGLE_CAP, capped)
         evals[0] += n
-        inner_ok[0] = inner_ok[0] and ok
         return 2.0 * pi * rs * means
 
     rep = integrate_adaptive(
         radial, 0.0, r_hi, tol / 2.0, initial_breakpoints=breakpoints, max_panels=600
     )
-    return QuadratureReport(
-        rep.value,
-        rep.error_estimate + pi * r_hi * r_hi * inner_tol,
-        evals[0],
-        rep.converged and inner_ok[0],
-    )
+    error = rep.error_estimate + pi * r_hi * r_hi * inner_tol
+    return QuadratureReport(rep.value, error, evals[0], rep.converged and not capped[0], capped[0])
 
 
 def flat_sphere_area(cfg: FlatSphereConfig, tol: float = 1e-8) -> QuadratureReport:
     """Total area of the plane under prod_j |z - p_j|^(2 beta_j).
 
-    Smooth partition of unity: per-singularity polar patches (Gauss-Jacobi
-    radial weight) and the rest of the plane in polar coordinates about the
-    origin, its radius mapped onto t in [0, 1) by r = c t / (1 - t).
+    ``tol`` is absolute: the summed error estimate of all regions must stay
+    below ``tol`` itself, whatever the size of the area.  Smooth partition
+    of unity: per-singularity polar patches (Gauss-Jacobi radial weight) and
+    the rest of the plane in polar coordinates about the origin, its radius
+    mapped onto t in [0, 1) by r = c t / (1 - t).  ``capped_rows`` counts the
+    angle rows that stopped at the trapezoid's point cap unconverged.
     """
     import numpy as np
 
@@ -404,26 +397,32 @@ def flat_sphere_area(cfg: FlatSphereConfig, tol: float = 1e-8) -> QuadratureRepo
 
     # c bounds every patch disk, so the patches lie in t < 1/2
     c = 0.25 * cfg.outer_radius()
-    px = np.array([p.real for p in cfg.points])
-    py = np.array([p.imag for p in cfg.points])
-    rad = np.array(radii)
+    # per cone: center, r_j, a bound on |z - p_j|^2 wherever its window is nonzero, order
+    cones = [(p.real, p.imag, rj, rj * rj * (1.0 + 1e-12), bj)
+             for p, rj, bj in zip(cfg.points, radii, cfg.orders)]
 
     def outside(t, theta):
-        # r dr = t * c^2 / (1 - t)^3 dt; _polar_iterated supplies the t.
-        # The density decays like r^-4, so the mapped integrand vanishes
-        # linearly at t = 1.
+        # r dr = t c^2 / (1 - t)^3 dt, and the density decays like r^-4, so
+        # this vanishes linearly at t = 1.
         u = 1.0 / (1.0 - t)
         r = c * t * u
         x = r * np.cos(theta)
-        y = r * np.sin(theta)
-        bracket = 1.0
-        for xj, yj, rj in zip(px, py, rad):
-            bracket = bracket - _window(np.hypot(x - xj, y - yj) / rj)
-        out = np.zeros_like(bracket)
-        live = bracket != 0.0
-        if np.any(live):
-            out[live] = bracket[live] * _density(cfg, x[live], y[live])
-        return out * (c * c * u * u * u)
+        y = (r * np.sin(theta)).reshape(-1)
+        near, ts = [], []  # per cone: the points its window may reach, their |z - p_j| / r_j
+        density = 1.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for xj, yj, rj, reach, bj in cones:  # one squared-distance pass per cone
+                dx = x.reshape(-1) - xj
+                dy = y - yj
+                d2 = dx * dx + dy * dy
+                near.append(np.flatnonzero(d2 < reach))
+                ts.append(np.hypot(dx[near[-1]], dy[near[-1]]) / rj)
+                density = density * d2 ** bj
+            # 1 minus the windows in cone order, all from one _window call
+            bracket = np.ones(x.size)
+            np.subtract.at(bracket, np.concatenate(near), _window(np.concatenate(ts)))
+            out = np.where(bracket != 0.0, bracket * density, 0.0)
+        return out.reshape(x.shape) * (c * c * u * u * u)
 
     # the patch window around p_j is nonzero only for |p_j| - r_j < |z| < |p_j| + r_j
     rims = {abs(p) + sign * rj for p, rj in zip(cfg.points, radii) for sign in (-1.0, 1.0)}
@@ -435,7 +434,8 @@ def flat_sphere_area(cfg: FlatSphereConfig, tol: float = 1e-8) -> QuadratureRepo
     if not isfinite(value):
         raise ConvergenceError("area integral produced a non-finite value")
     converged = all(rep.converged for rep in reports) and error <= tol
-    return QuadratureReport(value, error, sum(rep.evaluations for rep in reports), converged)
+    evals = sum(rep.evaluations for rep in reports)
+    return QuadratureReport(value, error, evals, converged, sum(rep.capped_rows for rep in reports))
 
 
 def flat_sphere_area_mc(cfg: FlatSphereConfig, samples: int, seed: int):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -356,6 +357,74 @@ class TestPinnedCounts:
         assert rep.evaluations == evaluations
         assert rep.value == pytest.approx(value, rel=1e-12)
         assert rep.converged
+
+
+class TestBitIdentity:
+    """Every field of flat_sphere_area, bit for bit, as the earlier outside
+    region gave them (one window call and one product_density call per
+    batch and cone): n = 3, 4 and 5, tol 1e-6 and 1e-8, both area-plane
+    strata (sides near 0.6; sides near 1.27 with one order in
+    [-0.93, -0.91]) and a cone at the origin."""
+
+    @pytest.mark.parametrize(
+        "points, orders, tol, value, error, evaluations",
+        [
+            ([0.3464 + 0.01j, -0.16 + 0.31j, -0.18 - 0.29j], [-0.63, -0.71, -0.66], 1e-6,
+             "0x1.13721e06c4272p+6", "0x1.38b365cef533ep-21", 148992),
+            ([0.73 + 0.05j, -0.41 + 0.61j, -0.33 - 0.66j], [-0.92, -0.52, -0.56], 1e-8,
+             "0x1.e4641b94035bdp+4", "0x1.5a26898467525p-28", 264256),
+            ([0.9 + 0.1j, -0.1 + 0.9j, -0.9 - 0.1j, 0.1 - 0.9j], [-0.5, -0.93, -0.3, -0.27], 1e-6,
+             "0x1.ab21601b1dccbp+4", "0x1.1f69134ecff38p-21", 150848),
+            ([0.44 + 0.05j, -0.05 + 0.44j, -0.44 - 0.05j, 0.05 - 0.44j],
+             [-0.55, -0.45, -0.47, -0.53], 1e-8,
+             "0x1.1be526798f52ep+5", "0x1.387e1ac4b20c9p-28", 412992),
+            ([0.52, 0.16 + 0.49j, -0.42 + 0.31j, -0.42 - 0.31j, 0.16 - 0.49j],
+             [-0.38, -0.42, -0.4, -0.44, -0.36], 1e-6,
+             "0x1.87022c9f85180p+4", "0x1.116a512cddabbp-21", 251648),
+            ([1.08, 0.33 + 1.03j, -0.87 + 0.63j, -0.87 - 0.63j, 0.33 - 1.03j],
+             [-0.26, -0.91, -0.29, -0.25, -0.29], 1e-8,
+             "0x1.f9cdfb725a3b7p+3", "0x1.6258e207e2652p-28", 360192),
+            ([0, 0.61, 0.3 + 0.53j, -0.3 + 0.53j], [-0.44, -0.52, -0.5, -0.54], 1e-8,
+             "0x1.3269fee69ce5cp+5", "0x1.6c1e08e874ab0p-28", 553344),
+        ],
+        ids=["n3-close-1e-6", "n3-wide-steep-1e-8", "n4-wide-steep-1e-6", "n4-close-1e-8",
+             "n5-close-1e-6", "n5-wide-steep-1e-8", "cone-at-origin-1e-8"],
+    )
+    def test_report_fields(self, points, orders, tol, value, error, evaluations):
+        rep = flat_sphere_area(FlatSphereConfig(points, orders), tol)
+        assert rep.value.hex() == value
+        assert rep.error_estimate.hex() == error
+        assert rep.evaluations == evaluations
+        assert rep.converged is True
+        assert rep.capped_rows == 0
+
+
+class TestAngleCap:
+    """An angle row that reaches the trapezoid's point cap is named, with the
+    number of such rows, in the area's convergence error (a cap of 64 in
+    place of 16,384 keeps the test fast)."""
+
+    def test_error_names_capped_rows(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "_ANGLE_CAP", 64)
+        rep = flat_sphere_area(SYMMETRIC, 1e-8)
+        assert not rep.converged
+        assert rep.capped_rows > 0
+        message = rf"\(estimate [^;]+; {rep.capped_rows} angle rows reached the 64-point cap\)$"
+        with pytest.raises(ConvergenceError, match=message):
+            rep.require_converged("area")
+
+    def test_cli_exits_4_naming_the_cap(self, monkeypatch, tmp_path):
+        from conftest import invoke
+
+        monkeypatch.setattr(quadrature, "_ANGLE_CAP", 64)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"points": [[0, 0], [1, 0], [-1, 0]], "orders": [-2 / 3] * 3}))
+        for command in (["area", "flat-sphere"], ["det", "flat-sphere"]):
+            res = invoke([*command, "--input", str(path)])
+            assert res.exit_code == 4
+            error = json.loads(res.output)["error"]
+            assert error["kind"] == "convergence"
+            assert "angle rows reached the 64-point cap" in error["message"]
 
 
 class TestPinnedJCount:
