@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from math import expm1, factorial, fsum, isfinite, log
+from math import exp, expm1, factorial, fsum, isfinite, log
 
 from . import kernels
 from .constants import BERNOULLI_2K, euler_gamma, zeta_prime_minus1
@@ -45,6 +45,15 @@ MAX_RATIONAL_TERMS = 100_000
 _LOG_MAX_FLOAT = log(sys.float_info.max)
 
 
+def _series_coefficients(a: float, weight):
+    """x0 = 0.35 min(a, 1) and the bracket series coefficients
+    B_{2k}/(2k)! * weight(k), k >= 2; OverflowError when one is not finite."""
+    gs = [b / factorial(2 * k) * weight(k) for k, b in enumerate(BERNOULLI_2K[1:], start=2)]
+    if not all(map(isfinite, gs)):
+        raise OverflowError("bracket series coefficient is not finite")
+    return 0.35 * min(a, 1.0), tuple(gs)
+
+
 def _bracket_coefficients(a: float):
     """Crossover x0 = 0.35 min(a, 1) and series coefficients for the J(a)
     bracket.
@@ -60,13 +69,73 @@ def _bracket_coefficients(a: float):
     OverflowError when a coefficient leaves the float range: a ** (1 - 2k)
     for a below about 2e-15, (2k - 1) a for a above about 8e306.
     """
-    gs = [
-        b / factorial(2 * k) * (a ** (1 - 2 * k) + (2 * k - 1) * a)
-        for k, b in enumerate(BERNOULLI_2K[1:], start=2)
-    ]
-    if not all(map(isfinite, gs)):
-        raise OverflowError("bracket series coefficient is not finite")
-    return 0.35 * min(a, 1.0), tuple(gs)
+    return _series_coefficients(a, lambda k: a ** (1 - 2 * k) + (2 * k - 1) * a)
+
+
+def _bracket_prime_coefficients(a: float):
+    """As above for the a-derivative of the bracket: g_k'(a), all 0.0 at a = 1."""
+    return _series_coefficients(a, lambda k: (1 - 2 * k) * a ** (-2 * k) + 2 * k - 1)
+
+
+def _j_prime_bracket(x, a, x0, coeffs):
+    """The a-derivative csch(x/(2a))^2/(4a^2) - csch(x/2)^2/4 - (1 - 1/a^2)/12
+    of the J(a) bracket, like ``kernels.j_bracket``; the two csch terms are
+    formed alike, so every value is 0.0 at a = 1."""
+    rev = coeffs[::-1]
+    const = (1.0 - 1.0 / (a * a)) / 12.0
+    out = []
+    for t in x:
+        if t <= x0:
+            t2 = t * t
+            acc = 0.0
+            for c in rev:
+                acc = (acc + c) * t2
+            out.append(acc)
+        else:
+            # csch(t/2)^2 / 4 = e^{-t}/(1 - e^{-t})^2, finite for any large t
+            d1, d2 = -expm1(-t / a), -expm1(-t)
+            out.append(exp(-t / a) / (d1 * d1) / (a * a) - exp(-t) / (d2 * d2) - const)
+    return out
+
+
+def _half_line(name: str, a: float, tol: float, coefficients, bracket, bound) -> float:
+    """Integral over (0, inf) of bracket(x) / (e^x - 1); the bracket is O(x^2)
+    at the origin, summed below x0 by the series of ``coefficients(a)``, and
+    at most max(1, bound(a)) for x >= 40."""
+    check_positive(a, "Barnes period a")
+    check_positive(tol, "tolerance")
+    if tol / 2.0 == 0.0:
+        raise ConvergenceError(
+            f"{name}({a}) quadrature cannot reach tol={tol}: half of it underflows to 0"
+        )
+    try:
+        x0, coeffs = coefficients(a)
+    except OverflowError:
+        raise ConvergenceError(
+            f"{name}({a}) bracket series overflows a float; a is outside the quadrature's range"
+        ) from None
+
+    # the tail beyond X is under scale*e^-X; log(10 scale / tol) is taken
+    # as a sum of logs, which stays finite.
+    scale = max(1.0, bound(a))
+    upper = max(40.0, log(10.0) + log(scale) - log(tol) + 5.0)
+
+    def integrand(x):
+        # past log(max float), e^x - 1 overflows and the integrand is 0
+        return [
+            v / expm1(t) if t <= _LOG_MAX_FLOAT else 0.0
+            for v, t in zip(bracket(x, a, x0, coeffs), x)
+        ]
+
+    breaks = []
+    edge = x0
+    while edge < upper:
+        breaks.append(edge)
+        edge *= 2.0
+    report = integrate_adaptive(
+        integrand, 0.0, upper, tol / 2.0, initial_breakpoints=breaks
+    )
+    return report.require_converged(f"{name}({a}) at tol={tol}").value
 
 
 def barnes_J(a: float, tol: float = 1e-12) -> float:
@@ -79,41 +148,14 @@ def barnes_J(a: float, tol: float = 1e-12) -> float:
     integral is truncated at X with the exponential tail bounded below
     tol/10 and the remainder integrated adaptively.
     """
-    check_positive(a, "Barnes period a")
-    check_positive(tol, "tolerance")
-    if tol / 2.0 == 0.0:
-        raise ConvergenceError(
-            f"J({a}) quadrature cannot reach tol={tol}: half of it underflows to 0"
-        )
-    try:
-        x0, coeffs = _bracket_coefficients(a)
-    except OverflowError:
-        raise ConvergenceError(
-            f"J({a}) bracket series overflows a float; a is outside the quadrature's range"
-        ) from None
+    # |bracket| <= 1/(2x) coth(x/(2a)) + (a/4) csch^2(x/2) + (a+1/a)/12 = O(a + 1/a)
+    return _half_line("J", a, tol, _bracket_coefficients, kernels.j_bracket, lambda a: a + 1 / a)
 
-    # |bracket| <= 1/(2x) coth(x/(2a)) + (a/4) csch^2(x/2) + (a+1/a)/12 is
-    # O(a + 1/a) for x >= 40, so the tail beyond X is under scale*e^-X;
-    # log(10 scale / tol) is taken as a sum of logs, which stays finite.
-    scale = max(1.0, a + 1.0 / a)
-    upper = max(40.0, log(10.0) + log(scale) - log(tol) + 5.0)
 
-    def integrand(x):
-        # past log(max float), e^x - 1 overflows and the integrand is 0
-        return [
-            v / expm1(t) if t <= _LOG_MAX_FLOAT else 0.0
-            for v, t in zip(kernels.j_bracket(x, a, x0, coeffs), x)
-        ]
-
-    breaks = []
-    edge = x0
-    while edge < upper:
-        breaks.append(edge)
-        edge *= 2.0
-    report = integrate_adaptive(
-        integrand, 0.0, upper, tol / 2.0, initial_breakpoints=breaks
-    )
-    return report.require_converged(f"J({a}) at tol={tol}").value
+def _barnes_J_prime(a: float, tol: float = 1e-12) -> float:
+    """J'(a), the same integral over the a-derivative of the bracket; J'(1) = 0.0."""
+    # past x = 40 the bracket is about -(1 - 1/a^2)/12
+    return _half_line("J'", a, tol, _bracket_prime_coefficients, _j_prime_bracket, lambda a: a**-2)
 
 
 def zprime0_integral(a: float, tol: float = 1e-12) -> float:

@@ -486,14 +486,12 @@ def find_max_cmd(tol):
 
 @command("taylor-check", option("--h", dest="step", type=float, default=1e-3))
 def taylor_check_cmd(step):
-    """Finite-difference expansion coefficients of the fixed-area curve at 0."""
+    """Expansion coefficients of the fixed-area curve at 0 from its derivative."""
     from . import extremal
 
     c2, c3 = extremal.taylor_check_at_zero(step)
-    return (
-        {"c2": c2, "c3": c3},
-        {"h": step, "route": "Richardson-extrapolated central differences"},
-    )
+    route = "Richardson central differences of the exact derivative L' (J'(a) quadrature)"
+    return {"c2": c2, "c3": c3}, {"h": step, "route": route}
 
 
 @command("distance spindle", BETA, MU, CURVATURE)

@@ -1,14 +1,16 @@
 """Parameter studies of the fixed-area two-cone sphere family: curve
 scans for the cone contribution C(beta) and the fixed-area determinant,
-bracketed maximization locating the round-sphere extremum, and
-finite-difference recovery of the expansion coefficients at beta = 0.
+and, from the exact derivative of the fixed-area log-determinant in the
+cone order (through J'(a)), the round-sphere maximum and the expansion
+coefficients at beta = 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp, isfinite
+from math import exp, isfinite, log
 
+from .barnes import _barnes_J_prime
 from .cone import c_beta
 from .constants import euler_gamma
 from .determinants import logdet_spindle_area4pi
@@ -23,10 +25,11 @@ __all__ = [
     "taylor_check_at_zero",
 ]
 
-_GOLDEN = 0.6180339887498949
 # A scan row costs up to a few milliseconds, so this many take seconds.
 MAX_SCAN_STEPS = 10_000
 _OBJECTIVE_TOL = 1e-13  # quadrature tolerance for objective evaluations
+_STEP = 1e-3  # difference step for the curvature at the maximum
+_NEWTON_STEPS = 8
 
 
 @dataclass(frozen=True)
@@ -108,6 +111,8 @@ def scan_curve(target: str, grid: ScanGrid) -> ScanResult:
     """
     if target not in ("cbeta", "fixed_area_det"):
         raise DomainError(f"unknown scan target {target!r}")
+    if target == "cbeta" and grid.param != "beta":
+        raise DomainError(f"C(beta) is scanned over beta, not {grid.param}")
 
     def run(x):
         try:
@@ -126,117 +131,68 @@ def scan_curve(target: str, grid: ScanGrid) -> ScanResult:
 
 
 def _objective(beta: float) -> float:
-    return logdet_spindle_area4pi(float(beta), 0.0, tol=_OBJECTIVE_TOL).total
+    """L'(beta), the exact derivative of L(beta) = logdet_spindle_area4pi(beta, 0).total
+    = (a + 1/a)(log a)/6 - (a + 1/a) gamma/3 - a/3 + log(2 pi) - 4 J(a), a = beta + 1:
+        L' = (1 - a^-2)(log a - 1 - 2 gamma)/6 - 4 J'(a), exactly 0.0 at beta = 0.
+    """
+    a = float(beta) + 1.0
+    closed = (1.0 - 1.0 / (a * a)) * (log(a) - 1.0 - 2.0 * euler_gamma()) / 6.0
+    return closed - 4.0 * _barnes_J_prime(a, _OBJECTIVE_TOL)
+
+
+def _derivatives(beta: float, h: float):
+    """L' at beta with L'' and L''' from central differences of L' at steps
+    h and h/2, Richardson-extrapolated (truncation O(h^4)); five
+    ``_objective`` calls."""
+    d = {s: _objective(beta + s) for s in (0.0, -h, h, -h / 2.0, h / 2.0)}
+
+    def stencils(s):
+        return (d[s] - d[-s]) / (2.0 * s), (d[s] - 2.0 * d[0.0] + d[-s]) / (s * s)
+
+    d2a, d3a = stencils(h)
+    d2b, d3b = stencils(h / 2.0)
+    return d[0.0], (4.0 * d2b - d2a) / 3.0, (4.0 * d3b - d3a) / 3.0
 
 
 def find_local_max(tol: float = 1e-8) -> ExtremumReport:
     """Locate the interior maximum of the fixed-area determinant at mu = 0.
 
-    Golden-section search on the fixed bracket [-0.7, 0.7], which contains
-    the maximizer, takes 20 steps to narrow it below 1e-4; because
-    the objective is locally quadratic, raw section search stalls at the
-    noise floor ~sqrt(eps), so the vertex is then refined by
-    Richardson-extrapolated three-point parabolic fits.
+    Newton iteration on L' from the midpoint of the bracket [-0.7, 0.7],
+    which contains the maximizer; a step that leaves the bracket or a
+    curvature L'' >= 0 is a ConvergenceError.  The achieved tolerance is the
+    last Newton step.
     """
     check_positive(tol, "tolerance")
     lo, hi = -0.7, 0.7
-    cache: dict = {}
-
-    def f(x):
-        if x not in cache:
-            cache[x] = _objective(x)
-        return cache[x]
-
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    while hi - lo > 1e-4:
-        if f(x1) < f(x2):
-            lo, x1 = x1, x2
-            x2 = lo + _GOLDEN * (hi - lo)
-        else:
-            hi, x2 = x2, x1
-            x1 = hi - _GOLDEN * (hi - lo)
-
-    center = 0.5 * (lo + hi)
-
-    def vertex(c, h):
-        fm, f0, fp = f(c - h), f(c), f(c + h)
-        denom = fm - 2.0 * f0 + fp
-        if denom >= 0.0:
-            raise ConvergenceError("parabolic refinement lost concavity")
-        return c + 0.5 * h * (fm - fp) / denom
-
-    # the uncertainty is the change between successive Richardson results,
-    # not |v2 - v1|, which is the bias the extrapolation removes
-    for h in (3e-3, 6e-4):
-        v1 = vertex(center, h)
-        v2 = vertex(center, h / 2.0)
-        refined = (4.0 * v2 - v1) / 3.0  # cubic-term bias is O(h^2)
-        spread = abs(refined - center)
-        center = refined
-
-    if spread > tol:
-        raise ConvergenceError(
-            f"vertex refinement uncertainty {spread:.3e} exceeds requested {tol}"
-        )
-
-    h = 1e-2
-    d2 = (f(center + h) - 2.0 * f(center) + f(center - h)) / (h * h)
-    d2_half = (f(center + h / 2) - 2.0 * f(center) + f(center - h / 2)) / (h * h / 4.0)
-    second = (4.0 * d2_half - d2) / 3.0
+    beta = 0.5 * (lo + hi)
+    for _ in range(_NEWTON_STEPS):
+        slope, second, _ = _derivatives(beta, _STEP)
+        if not second < 0.0:
+            raise ConvergenceError(f"curvature {second!r} at beta = {beta!r} is not negative")
+        step = slope / second
+        beta -= step
+        if not lo <= beta <= hi:
+            raise ConvergenceError(f"Newton step left the bracket [{lo}, {hi}]: beta = {beta!r}")
+        if abs(step) <= tol:
+            break
+    else:
+        raise ConvergenceError(f"Newton step {abs(step):.3e} still exceeds requested {tol}")
 
     return ExtremumReport(
-        location=center,
-        value=f(center),
+        location=beta,
+        value=logdet_spindle_area4pi(beta, 0.0, tol=_OBJECTIVE_TOL).total,
         second_derivative=second,
-        method="golden-section bracket + Richardson parabolic vertex refinement",
-        tolerance_achieved=spread,
+        method="Newton iteration on the exact derivative L' (J'(a) quadrature);"
+        " L'' by Richardson central differences of L'",
+        tolerance_achieved=abs(step),
     )
 
 
-def taylor_coefficients(h: float, *, richardson: bool = True):
-    """(c1, c2, c3) central-difference estimates of the fixed-area
-    log-determinant expansion at beta = 0.
-
-    c1 should vanish (beta = 0 is critical); it is returned for the
-    caller's scrutiny.  With ``richardson`` the two-step extrapolation
-    removes the leading O(h^2) truncation of each stencil.
-    """
+def taylor_check_at_zero(h: float):
+    """(c2, c3) = (L''/2, L'''/6) at beta = 0, the expansion coefficients
+    of the fixed-area log-determinant, from differences of L' at step h."""
     if not 1e-4 <= h <= 1e-2:
         raise DomainError(f"step size must lie in [1e-4, 1e-2], got {h}")
+    _, second, third = _derivatives(0.0, h)
+    return second / 2.0, third / 6.0
 
-    cache: dict = {}
-
-    def f(x):
-        if x not in cache:
-            cache[x] = _objective(x)
-        return cache[x]
-
-    def stencils(step):
-        d1 = (f(step) - f(-step)) / (2.0 * step)
-        d2 = (f(step) - 2.0 * f(0.0) + f(-step)) / (step * step)
-        d3 = (f(2 * step) - 2.0 * f(step) + 2.0 * f(-step) - f(-2 * step)) / (
-            2.0 * step**3
-        )
-        return d1, d2, d3
-
-    d1a, d2a, d3a = stencils(h)
-    if not richardson:
-        return d1a, d2a / 2.0, d3a / 6.0
-    d1b, d2b, d3b = stencils(h / 2.0)
-    c1 = (4.0 * d1b - d1a) / 3.0
-    c2 = (4.0 * d2b - d2a) / 3.0 / 2.0
-    c3 = (4.0 * d3b - d3a) / 3.0 / 6.0
-    return c1, c2, c3
-
-
-def taylor_check_at_zero(h: float):
-    """(c2, c3) Richardson-extrapolated expansion coefficients at beta = 0."""
-    _, c2, c3 = taylor_coefficients(h)
-    return c2, c3
-
-
-def reference_second_derivative() -> float:
-    """Expected curvature at the maximum from the closed-form expansion:
-    the quadratic coefficient is -(gamma/3 + 1/9), so f'' = -2(gamma/3 + 1/9)."""
-    return -2.0 * (euler_gamma() / 3.0 + 1.0 / 9.0)

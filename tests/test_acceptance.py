@@ -135,11 +135,11 @@ def test_criterion_05_sphere_degenerations(zp):
 
 def test_criterion_06_extremal_reproduction(gamma):
     rep = find_local_max(tol=1e-6)
-    loc_ok = abs(rep.location) <= 1e-6
-    val_ok = abs(rep.value - round_sphere_logdet()) <= 1e-10
+    loc_ok = abs(rep.location) <= 1e-14
+    val_ok = abs(rep.value - round_sphere_logdet()) <= 1e-15
     c2, c3 = taylor_check_at_zero(1e-3)
-    c2_ok = abs(c2 - (-(gamma / 3.0 + 1.0 / 9.0))) <= 1e-4
-    c3_ok = abs(c3 - (gamma / 3.0 + 7.0 / 36.0)) <= 1e-3
+    c2_ok = abs(c2 - (-(gamma / 3.0 + 1.0 / 9.0))) <= 1e-11
+    c3_ok = abs(c3 - (gamma / 3.0 + 7.0 / 36.0)) <= 1e-8
     report(
         "6 extremal-reproduction",
         loc_ok and val_ok and c2_ok and c3_ok,

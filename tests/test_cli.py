@@ -74,18 +74,27 @@ class TestScalarCommands:
     def test_taylor_check(self, gamma):
         res = invoke(["taylor-check", "--h", "1e-3"])
         data = payload(res)
-        assert data["c2"] == pytest.approx(-(gamma / 3 + 1.0 / 9.0), abs=1e-4)
+        assert data["c2"] == pytest.approx(-(gamma / 3 + 1.0 / 9.0), abs=1e-11)
+        assert data["c3"] == pytest.approx(gamma / 3 + 7.0 / 36.0, abs=1e-8)
 
     def test_find_max(self):
         res = invoke(["find-max", "--tol", "1e-6"])
-        assert abs(payload(res)["location"]) <= 1e-6
+        assert abs(payload(res)["location"]) <= 1e-14
 
-    def test_find_max_default_flags(self):
+    def test_find_max_default_flags(self, gamma):
         res = invoke(["find-max"])
         assert res.exit_code == 0
         data = payload(res)
         assert data["tolerance_achieved"] <= 1e-8
-        assert abs(data["location"]) <= 1e-8
+        assert abs(data["location"]) <= 1e-14
+        assert data["second_derivative"] == pytest.approx(
+            -2.0 * (gamma / 3 + 1.0 / 9.0), abs=1e-12
+        )
+
+    def test_find_max_tight_tol(self):
+        res = invoke(["find-max", "--tol", "1e-12"])
+        assert res.exit_code == 0
+        assert abs(payload(res)["location"]) <= 1e-14
 
 
 class TestFileCommands:

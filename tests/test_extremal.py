@@ -6,12 +6,14 @@ from conedet import (
     DomainError,
     ScanGrid,
     c_beta,
+    extremal,
     find_local_max,
+    logdet_spindle_area4pi,
     round_sphere_logdet,
     scan_curve,
     taylor_check_at_zero,
 )
-from conedet.extremal import reference_second_derivative, taylor_coefficients
+from conedet.extremal import _objective
 
 
 class TestScanGrid:
@@ -77,17 +79,39 @@ class TestScanCurve:
         with pytest.raises(DomainError):
             scan_curve("entropy", grid)
 
+    def test_cbeta_over_mu_rejected(self):
+        # C is a function of the cone order; mu values are not cone orders
+        grid = ScanGrid(param="mu", start=0.0, stop=1.0, steps=3, fixed_other=0.5)
+        with pytest.raises(DomainError, match="beta"):
+            scan_curve("cbeta", grid)
+
+
+class TestObjective:
+    def test_exactly_critical_at_zero(self):
+        assert abs(_objective(0.0)) <= 1e-15
+
+    @pytest.mark.parametrize("beta", [-0.5, 0.3, 2.0])
+    def test_is_derivative_of_logdet(self, beta):
+        def f(x):
+            return logdet_spindle_area4pi(x, 0.0, tol=1e-13).total
+
+        # fourth-order central difference: truncation about 1e-12 at h = 1e-3
+        h = 1e-3
+        slope = (8.0 * (f(beta + h / 2) - f(beta - h / 2)) - (f(beta + h) - f(beta - h))) / (6.0 * h)
+        assert _objective(beta) == pytest.approx(slope, abs=1e-10)
+
 
 class TestFindLocalMax:
     def test_matches_round_sphere(self):
         report = find_local_max(tol=1e-6)
-        assert abs(report.location) <= 1e-6
-        assert report.value == pytest.approx(round_sphere_logdet(), abs=1e-10)
+        assert abs(report.location) <= 1e-14
+        assert report.value == pytest.approx(round_sphere_logdet(), abs=1e-15)
 
-    def test_second_derivative(self):
+    def test_second_derivative(self, gamma):
+        # the quadratic coefficient of the fixed-area curve at 0 is -(gamma/3 + 1/9)
         report = find_local_max(tol=1e-6)
         assert report.second_derivative == pytest.approx(
-            reference_second_derivative(), abs=1e-4
+            -2.0 * (gamma / 3.0 + 1.0 / 9.0), abs=1e-12
         )
 
     def test_default_tolerance(self):
@@ -96,6 +120,12 @@ class TestFindLocalMax:
         report = find_local_max()
         assert report.tolerance_achieved <= 1e-8
         assert abs(report.location) <= report.tolerance_achieved
+
+    def test_objective_calls(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(extremal, "_objective", lambda b: calls.append(b) or _objective(b))
+        find_local_max()
+        assert len(calls) <= 10
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
     def test_rejects_bad_tolerance(self, bad):
@@ -106,24 +136,11 @@ class TestFindLocalMax:
 class TestTaylorCheck:
     def test_coefficients(self, gamma):
         c2, c3 = taylor_check_at_zero(1e-3)
-        assert c2 == pytest.approx(-(gamma / 3.0 + 1.0 / 9.0), abs=1e-4)
-        assert c3 == pytest.approx(gamma / 3.0 + 7.0 / 36.0, abs=1e-3)
-
-    def test_first_order_vanishes(self):
-        c1, _, _ = taylor_coefficients(1e-3)
-        assert abs(c1) <= 1e-6
+        assert c2 == pytest.approx(-(gamma / 3.0 + 1.0 / 9.0), abs=1e-11)
+        assert c3 == pytest.approx(gamma / 3.0 + 7.0 / 36.0, abs=1e-8)
 
     def test_step_domain(self):
         with pytest.raises(DomainError):
             taylor_check_at_zero(1e-5)
         with pytest.raises(DomainError):
             taylor_check_at_zero(0.1)
-
-    def test_second_order_convergence(self, gamma):
-        # raw (unextrapolated) central differences converge at O(h^2):
-        # halving h shrinks the c2 error by roughly 4
-        target = -(gamma / 3.0 + 1.0 / 9.0)
-        _, c2_h, _ = taylor_coefficients(8e-3, richardson=False)
-        _, c2_h2, _ = taylor_coefficients(4e-3, richardson=False)
-        ratio = abs(c2_h - target) / abs(c2_h2 - target)
-        assert 2.5 <= ratio <= 6.0
