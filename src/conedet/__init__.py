@@ -16,13 +16,11 @@ from importlib import import_module
 _EXPORTS = {
     "barnes": (
         "barnes_J",
-        "barnes_zeta_series",
         "zprime0",
         "zprime0_integral",
         "zprime0_rational",
         "zprime0_taylor_near1",
         "zprime_a0",
-        "zprime_a0_IR",
     ),
     "cone": (
         "ConeOrder",
@@ -40,7 +38,6 @@ _EXPORTS = {
         "euler_gamma",
         "fundamental_constants",
         "zeta_prime_minus1",
-        "zeta_prime_minus1_glaisher",
     ),
     "determinants": (
         "ComparisonData",

@@ -10,9 +10,6 @@ routes that cross-check one another:
                           + 5a/24 - log(2 pi)/4 + J(a)
   with J(a) an exponentially convergent improper integral;
 * ``zprime0_taylor_near1`` - the cubic expansion about a = 1.
-
-``barnes_zeta_series`` evaluates the defining double sum for s > 2 and
-serves as the convergent-region oracle (zeta_B(s;1,1,1) = zeta_R(s-1)).
 """
 
 from __future__ import annotations
@@ -29,13 +26,11 @@ from .special import LOG_2PI, RationalOrder, dedekind_sum, log_gamma, sawtooth
 
 __all__ = [
     "barnes_J",
-    "barnes_zeta_series",
     "zprime0",
     "zprime0_integral",
     "zprime0_rational",
     "zprime0_taylor_near1",
     "zprime_a0",
-    "zprime_a0_IR",
 ]
 
 # The closed form sums p + q terms in Python loops (the Dedekind sum and the
@@ -239,24 +234,6 @@ def zprime_a0(a, tol: float = 1e-12) -> float:
     )
 
 
-def zprime_a0_IR(a: float, tol: float = 1e-12) -> float:
-    """Z'_a(0) by its integral-representation definition:
-    (1/a - a)(gamma - log 2)/12 - (1/a + 3 + a) log(a)/12 + J(a)
-    - a (-gamma/6 - 5/24 + log(2 pi)/4 + zeta'_R(-1)).
-    """
-    a = float(a)
-    check_positive(a, "Barnes period a")
-    g = euler_gamma()
-    return fsum(
-        [
-            (1.0 / a - a) * (g - log(2.0)) / 12.0,
-            -(1.0 / a + 3.0 + a) * log(a) / 12.0,
-            barnes_J(a, tol),
-            -a * (-g / 6.0 - 5.0 / 24.0 + 0.25 * LOG_2PI + zeta_prime_minus1()),
-        ]
-    )
-
-
 def zprime0_taylor_near1(a: float) -> float:
     """Cubic expansion of zeta'_B(0; a, 1, 1) about a = 1 (trust radius 1/4):
 
@@ -265,56 +242,10 @@ def zprime0_taylor_near1(a: float) -> float:
     b = a - 1; truncation error O(b^4).
     """
     b = float(a) - 1.0
-    if abs(b) > 0.25:
+    if not abs(b) <= 0.25:  # NaN fails this too
         raise DomainError(f"Taylor form trusted only for |a-1| <= 0.25, got a={a}")
     g = euler_gamma()
     return zeta_prime_minus1() + b * (
         -5.0 / 24.0 + b * ((g / 12.0 + 7.0 / 36.0) + b * (-(g / 12.0 + 29.0 / 144.0)))
     )
 
-
-# ----------------------------------------------------------------------
-# Convergent-region double sum (oracle for the continuation routes)
-# ----------------------------------------------------------------------
-
-
-def _hurwitz(s: float, c: float, n_direct: int = 64) -> float:
-    """sum_{n>=0} (c + n)^(-s) for s > 1 via direct head + Euler-Maclaurin tail."""
-    head = fsum((c + n) ** (-s) for n in range(n_direct))
-    y = c + n_direct
-    tail = (
-        y ** (1.0 - s) / (s - 1.0)
-        + 0.5 * y ** (-s)
-        + s * y ** (-s - 1.0) / 12.0
-        - s * (s + 1.0) * (s + 2.0) * y ** (-s - 3.0) / 720.0
-    )
-    return head + tail
-
-
-def barnes_zeta_series(s: float, a: float, x: float, tol: float = 1e-10) -> float:
-    """zeta_B(s; a, 1, x) for s > 2 by row reduction of the double sum.
-
-    Row m sums to the Hurwitz value zeta_H(s; a m + x); rows are added
-    directly up to M and the remainder is bounded by Euler-Maclaurin in m
-    (the antiderivative of zeta_H(s; a t + x) is zeta_H(s-1;.)/((s-1) a)).
-    M doubles until the rigorous remainder bound is under tol.
-    """
-    if not (isfinite(s) and s > 2.0):
-        raise DomainError(f"double sum converges only for finite s > 2, got s={s}")
-    check_positive(a, "a")
-    check_positive(x, "x")
-    m_rows = 32
-    while True:
-        c = a * m_rows + x
-        tail = (
-            _hurwitz(s - 1.0, c) / ((s - 1.0) * a)
-            + 0.5 * _hurwitz(s, c)
-            + s * a * _hurwitz(s + 1.0, c) / 12.0
-        )
-        # next Euler-Maclaurin term bounds the remainder of the m-tail
-        bound = s * (s + 1.0) * (s + 2.0) * a**3 * _hurwitz(s + 3.0, c) / 720.0
-        if bound <= tol / 2.0 or m_rows > 2**20:
-            break
-        m_rows *= 2
-    head = fsum(_hurwitz(s, a * m + x) for m in range(m_rows))
-    return head + tail

@@ -13,7 +13,7 @@ from math import fsum, log
 
 from .barnes import barnes_tol, zprime0
 from .constants import zeta_prime_minus1
-from .errors import ConfigurationError, DomainError, check_order, check_positive
+from .errors import ConfigurationError, DomainError, check_finite, check_order, check_positive
 from .special import LOG_2PI, RationalOrder
 
 __all__ = [
@@ -74,13 +74,15 @@ class ConeOrder:
 
 @dataclass(frozen=True)
 class SurfaceTopology:
-    """Topological Euler characteristic, cone orders, boundary flag."""
+    """Topological Euler characteristic (a plain int), cone orders, boundary flag."""
 
     euler_top: int
     orders: tuple = field(default_factory=tuple)
     has_boundary: bool = False
 
     def __post_init__(self):
+        if type(self.euler_top) is not int:
+            raise ConfigurationError(f"Euler characteristic must be an int, got {self.euler_top!r}")
         object.__setattr__(self, "orders", tuple(ConeOrder.of(o) for o in self.orders))
 
     @property
@@ -161,5 +163,7 @@ def rescale_logdet(logdet: float, zeta0: float, r: float) -> float:
     """log-determinant after scaling the metric by r^2:
     eigenvalues scale by r^-2, so zeta'(0) gains 2 zeta(0) log r and the
     log-determinant drops by the same amount."""
+    check_finite(logdet, "log-determinant")
+    check_finite(zeta0, "zeta(0)")
     check_positive(r, "scale factor")
     return logdet - 2.0 * zeta0 * log(r)

@@ -1,19 +1,10 @@
-"""Fundamental real constants computed at first use.
-
-Everything downstream leans on zeta'_R(-1), so that constant is computed by
-two genuinely independent routes which are required to agree:
-
-* the functional-equation route,
-      zeta'_R(-1) = -(1/12) [log(2 pi) + gamma - 1 - zeta'_R(2)/zeta_R(2)],
-  with zeta'_R(2) from 28 terms and an Euler-Maclaurin tail, and
-
-* the Glaisher-constant route, where log A is extracted from the defining
-  limit  log A = lim_n [ sum_{k<=n} k log k - (n^2/2 + n/2 + 1/12) log n
-  + n^2/4 ]  (telescoped so no catastrophic cancellation occurs) and
-      zeta'_R(-1) = 1/12 - log A.
-
-The Euler-Mascheroni constant is likewise computed (harmonic sum with
-Euler-Maclaurin correction), not copied from a table.
+"""Fundamental real constants computed at first use: the Euler-Mascheroni
+constant gamma (harmonic sum with Euler-Maclaurin correction, not copied
+from a table) and zeta'_R(-1), on which everything downstream leans,
+through the functional equation of the Riemann zeta function,
+    zeta'_R(-1) = -(1/12) [log(2 pi) + gamma - 1 - zeta'_R(2)/zeta_R(2)],
+with zeta'_R(2) from 28 terms and an Euler-Maclaurin tail.  The test suite
+checks both against 30-digit values.
 
 All constants are memoized through lru_cache; every function here is pure,
 so a second computation under concurrent first use returns the same value.
@@ -21,14 +12,13 @@ so a second computation under concurrent first use returns the same value.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import fsum, log, log1p, pi
+from math import fsum, log, pi
 
 __all__ = [
     "FundamentalConstants",
     "euler_gamma",
     "fundamental_constants",
     "zeta_prime_minus1",
-    "zeta_prime_minus1_glaisher",
 ]
 
 
@@ -103,43 +93,6 @@ def zeta_prime_minus1() -> float:
     """
     zeta2 = pi * pi / 6.0
     return -(log(2.0 * pi) + euler_gamma() - 1.0 - _zeta_prime_2() / zeta2) / 12.0
-
-
-@lru_cache(maxsize=1)
-def zeta_prime_minus1_glaisher() -> float:
-    """zeta'_R(-1) = 1/12 - log A with log A from the hyperfactorial limit.
-
-    Telescoping the limit against its own asymptote gives
-        log A = 1/4 + sum_{k>=2} delta_k,
-        delta_k = k log k - [A(k) - A(k-1)],
-        A(x) = (x^2/2 + x/2 + 1/12) log x - x^2/4.
-    Writing log(k-1) = log k + log1p(-1/k) reduces delta_k to
-        delta_k = Q(k) log1p(-1/k) + k/2 - 1/4,   Q(k) = (k^2 - k)/2 + 1/12,
-    which for large k is evaluated through the cancellation-free expansion
-        delta_k = sum_{m>=3} d_m k^-m,
-        d_m = -1/(2(m+2)) + 1/(2(m+1)) - 1/(12 m),
-    (d_3 = -1/360, d_4 = -1/240, ...).  Direct evaluation is used for
-    k < 32 where the cancellation loses at most ~2 digits.
-    """
-    n = 100000
-    k_switch = 32
-    terms = []
-    for k in range(2, k_switch):
-        q = (k * k - k) / 2.0 + 1.0 / 12.0
-        terms.append(q * log1p(-1.0 / k) + k / 2.0 - 0.25)
-    d = [-1.0 / (2 * (m + 2)) + 1.0 / (2 * (m + 1)) - 1.0 / (12 * m) for m in range(3, 13)]
-    for k in range(k_switch, n + 1):
-        inv = 1.0 / k
-        acc = 0.0
-        p = inv * inv * inv
-        for dm in d:
-            acc += dm * p
-            p *= inv
-        terms.append(acc)
-    # integral tail of the m = 3, 4 series pieces beyond n
-    tail = d[0] * (0.5 / (n * n)) + d[1] * (1.0 / (3.0 * n**3))
-    log_a = 0.25 + fsum(terms) + tail
-    return 1.0 / 12.0 - log_a
 
 
 def fundamental_constants() -> FundamentalConstants:

@@ -17,7 +17,7 @@ from math import atan, exp, fsum, isfinite, log, pi, sqrt
 from .barnes import barnes_tol, zprime0, zprime_a0
 from .cone import ConeOrder, c_beta
 from .constants import zeta_prime_minus1
-from .errors import ConfigurationError, DomainError, check_order, check_positive
+from .errors import ConfigurationError, DomainError, check_finite, check_order, check_positive
 from .quadrature import FlatSphereConfig, flat_sphere_area
 from .special import LOG_2PI
 
@@ -138,15 +138,17 @@ def logdet_spindle_area4pi(beta, mu: float = 0.0, tol: float = 1e-12) -> LogDet:
 
 
 def spindle_asymptotic(beta: float, mu: float = 0.0, regime: str = "beta_to_minus1") -> float:
-    """Truncated expansions of the fixed-area log-determinant.
+    """Truncated expansions of the fixed-area log-determinant; beta, mu as in SpindleConfig.
 
-    ``beta_to_minus1`` (remainder O(beta+1), derived at mu = 0):
+    ``beta_to_minus1`` (remainder O(beta+1); derived at, and held to, mu = 0):
         -log(a)/(6a) - (1/3 - 4 zeta'_R(-1))/a - log(a/(2 pi)) - a log(a)/6.
     ``beta_to_infinity`` (remainder O(1/beta)):
         -(1/6)(a - 1/a) log(1 + mu^2/a) + (1/6)(a + 1/a) log a
         + (1/6 + 4 zeta'_R(-1)) a + log(2 pi).
     """
-    a = check_order(beta) + 1.0
+    if regime == "beta_to_minus1" and mu != 0:
+        raise DomainError(f"the beta_to_minus1 expansion holds at mu = 0 only, got mu={mu}")
+    a = SpindleConfig(beta=beta, mu=mu).order.beta + 1.0
     zp = zeta_prime_minus1()
     if regime == "beta_to_minus1":
         return fsum(
@@ -362,6 +364,7 @@ def pullback_constant_C(logdet_phi: float, degree: float) -> float:
     degree < -2."""
     if not (isfinite(degree) and 2.0 + degree < 0.0):
         raise DomainError(f"degree must be finite and below -2, got {degree}")
+    check_finite(logdet_phi, "log det of the base metric")
     return -(2.0 ** (2.0 / 3.0)) * exp(6.0 * zeta_prime_minus1()) / (2.0 + degree) * exp(
         2.0 * logdet_phi
     )
@@ -372,6 +375,7 @@ def logdet_pullback(c: float, mu: float, phi_at_0: float, phi_at_1_over_mu: floa
     log C - log(mu)/2 + (phi(0) + phi(1/mu))/4."""
     check_positive(c, "constant C")
     check_positive(mu, "mu")
+    check_finite(phi_at_0 + phi_at_1_over_mu, "phi(0) + phi(1/mu)")
     return log(c) - 0.5 * log(mu) + 0.25 * (phi_at_0 + phi_at_1_over_mu)
 
 

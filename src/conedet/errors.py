@@ -1,6 +1,6 @@
-"""Exception types shared across the package, and the two input guards
-every layer uses: ``check_order`` for cone orders and ``check_positive``
-for periods, radii, scales and tolerances.
+"""Exception types shared across the package, and the three input guards
+every layer uses: ``check_order`` for cone orders, ``check_positive`` for
+periods, radii, scales and tolerances, ``check_finite`` for any other real.
 
 The CLI maps these onto distinct exit codes, so the math layers should
 raise the most specific type that applies instead of bare ValueError.
@@ -42,3 +42,9 @@ def check_positive(value, what: str) -> None:
     names it in the message."""
     if not (isfinite(value) and value > 0):
         raise DomainError(f"{what} must be finite and positive, got {value}")
+
+
+def check_finite(value, what: str) -> None:
+    """DomainError on NaN and +-inf; ``what`` names ``value`` in the message."""
+    if not isfinite(value):
+        raise DomainError(f"{what} must be finite, got {value}")

@@ -14,7 +14,7 @@ from .barnes import _barnes_J_prime
 from .cone import c_beta
 from .constants import euler_gamma
 from .determinants import logdet_spindle_area4pi
-from .errors import ConvergenceError, DomainError, check_order, check_positive
+from .errors import ConvergenceError, DomainError, check_finite, check_order, check_positive
 
 __all__ = [
     "ExtremumReport",
@@ -45,10 +45,8 @@ class ScanGrid:
     def __post_init__(self):
         if self.param not in ("beta", "mu"):
             raise DomainError(f"unknown scan parameter {self.param!r}")
-        if not (isfinite(self.start) and isfinite(self.stop)):
-            raise DomainError(
-                f"scan grid requires finite start and stop, got {self.start}, {self.stop}"
-            )
+        check_finite(self.start, "scan start")
+        check_finite(self.stop, "scan stop")
         if not self.start < self.stop:
             raise DomainError("scan grid requires start < stop")
         if not 2 <= self.steps <= MAX_SCAN_STEPS:

@@ -8,7 +8,8 @@ import pytest
 
 @pytest.fixture(scope="session")
 def zp():
-    """zeta'_R(-1) via the package's production route (itself dual-checked)."""
+    """zeta'_R(-1) via the package's production route (checked against
+    mpmath in test_constants.py)."""
     from conedet import zeta_prime_minus1
 
     return zeta_prime_minus1()
@@ -19,6 +20,24 @@ def gamma():
     from conedet import euler_gamma
 
     return euler_gamma()
+
+
+def zprime_a0_ir(a, tol=1e-12):
+    """Z'_a(0) by its integral-representation definition,
+        (1/a - a)(gamma - log 2)/12 - (1/a + 3 + a) log(a)/12 + J(a)
+        - a (-gamma/6 - 5/24 + log(2 pi)/4 + zeta'_R(-1)),
+    assembled apart from ``zprime_a0`` on the same J(a)."""
+    from conedet import barnes_J, euler_gamma, zeta_prime_minus1
+
+    g = euler_gamma()
+    return math.fsum(
+        [
+            (1.0 / a - a) * (g - math.log(2.0)) / 12.0,
+            -(1.0 / a + 3.0 + a) * math.log(a) / 12.0,
+            barnes_J(a, tol),
+            -a * (-g / 6.0 - 5.0 / 24.0 + 0.25 * math.log(2.0 * math.pi) + zeta_prime_minus1()),
+        ]
+    )
 
 
 def coprime_pairs(limit):

@@ -45,9 +45,8 @@ from conedet import (
     zprime0_integral,
     zprime0_rational,
     zprime_a0,
-    zprime_a0_IR,
 )
-from conftest import coprime_pairs, invoke, random_flat_config
+from conftest import coprime_pairs, invoke, random_flat_config, zprime_a0_ir
 
 LOG2 = math.log(2.0)
 LOG_2PI = math.log(2.0 * math.pi)
@@ -94,7 +93,7 @@ def test_criterion_02_route_agreement():
 
 def test_criterion_03_zprime_equivalence():
     worst = max(
-        abs(zprime_a0(a, 1e-10) - zprime_a0_IR(a, 1e-10))
+        abs(zprime_a0(a, 1e-10) - zprime_a0_ir(a, 1e-10))
         for a in (0.3, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0)
     )
     report("3 Z-prime-equivalence", worst <= 1e-8, f"worst |diff| = {worst:.2e}")

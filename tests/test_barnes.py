@@ -9,7 +9,6 @@ from conedet import (
     DomainError,
     RationalOrder,
     barnes_J,
-    barnes_zeta_series,
     log_gamma,
     zeta_prime_minus1,
     zprime0,
@@ -17,19 +16,12 @@ from conedet import (
     zprime0_rational,
     zprime0_taylor_near1,
     zprime_a0,
-    zprime_a0_IR,
 )
 from conedet.barnes import MAX_RATIONAL_TERMS, _bracket_coefficients
 from conedet import kernels, quadrature
-from conftest import coprime_pairs
+from conftest import coprime_pairs, zprime_a0_ir
 
 LOG_2PI = math.log(2 * math.pi)
-
-
-def zeta_r(s, terms=200000):
-    """Independent single-sum Riemann zeta for s > 1 (direct + integral tail)."""
-    head = sum(n**-s for n in range(1, terms))
-    return head + terms ** (1 - s) / (s - 1) - 0.5 * terms**-s
 
 
 def blf1(p, zp):
@@ -50,36 +42,6 @@ def blf2(q, zp):
         - sum(j / q * log_gamma(j / q) for j in range(1, q))
         + (q - 1) / 4.0 * LOG_2PI
     )
-
-
-class TestConvergentSeries:
-    def test_collapses_to_riemann_zeta(self):
-        # zeta_B(s;1,1,1) = zeta_R(s-1); oracle is an independent single sum
-        assert barnes_zeta_series(3.0, 1.0, 1.0) == pytest.approx(
-            math.pi**2 / 6.0, abs=1e-10
-        )
-        for s in (3.0, 4.0, 5.0):
-            assert barnes_zeta_series(s, 1.0, 1.0) == pytest.approx(
-                zeta_r(s - 1.0), abs=1e-10
-            )
-
-    def test_row_sum_reduction(self):
-        # oracle: sum_m zeta_H(3; 2m+2), rows summed directly on an outer
-        # grid with integral-rule tails in both directions
-        m = np.arange(500.0)[:, None]
-        n = np.arange(500.0)[None, :]
-        block = float(np.sum((2.0 * m + n + 2.0) ** -3.0))
-        row_edges = 2.0 * np.arange(500.0) + 2.0 + 500.0
-        row_tails = float(np.sum(0.5 * row_edges**-2.0 + 0.5 * row_edges**-3.0))
-        c = 2.0 * 500.0 + 2.0
-        m_tail = (1.0 / c + 0.5 / c**2) / 4.0 + 0.25 / c**2
-        oracle = block + row_tails + m_tail
-        got = barnes_zeta_series(3.0, 2.0, 2.0)
-        assert got == pytest.approx(oracle, abs=1e-6)
-
-    def test_rejects_convergence_boundary(self):
-        with pytest.raises(DomainError):
-            barnes_zeta_series(2.0, 1.0, 1.0)
 
 
 class TestJIntegral:
@@ -254,7 +216,7 @@ class TestRouteAgreement:
 class TestZPrimeA0:
     def test_vanishes_at_one(self):
         assert abs(zprime_a0(1.0, 1e-12)) < 1e-11
-        assert abs(zprime_a0_IR(1.0, 1e-12)) < 1e-11
+        assert abs(zprime_a0_ir(1.0, 1e-12)) < 1e-11
 
     def test_symbolic_at_two(self, zp):
         # substitute the closed rational value into the defining combination
@@ -268,11 +230,11 @@ class TestZPrimeA0:
 
     @pytest.mark.parametrize("a", [0.3, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 5.0])
     def test_equivalence_of_definitions(self, a):
-        assert abs(zprime_a0(a, 1e-10) - zprime_a0_IR(a, 1e-10)) <= 1e-8
+        assert abs(zprime_a0(a, 1e-10) - zprime_a0_ir(a, 1e-10)) <= 1e-8
 
     def test_equivalence_on_rational_route(self):
         got = zprime_a0(RationalOrder(1, 3))
-        assert abs(got - zprime_a0_IR(1.0 / 3.0, 1e-11)) <= 1e-8
+        assert abs(got - zprime_a0_ir(1.0 / 3.0, 1e-11)) <= 1e-8
 
 
 class TestTaylorNearOne:

@@ -738,6 +738,15 @@ def test_submodules_resolve_after_a_bare_import():
     assert proc.stdout.splitlines() == ["[]", "conedet.determinants", "[]"]
 
 
+@pytest.mark.parametrize("module", sorted(conedet._EXPORTS))
+def test_export_lists_agree(module):
+    """The package's lazy export table lists what each submodule's
+    ``__all__`` lists, where it has one."""
+    mod = getattr(conedet, module)
+    if hasattr(mod, "__all__"):
+        assert set(conedet._EXPORTS[module]) == set(mod.__all__)
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "args",

@@ -1,13 +1,9 @@
 import math
 
+import mpmath
 import numpy as np
 
-from conedet import (
-    euler_gamma,
-    fundamental_constants,
-    zeta_prime_minus1,
-    zeta_prime_minus1_glaisher,
-)
+from conedet import euler_gamma, fundamental_constants, zeta_prime_minus1
 from conedet.constants import _zeta_prime_2
 
 
@@ -26,9 +22,16 @@ def test_zeta_prime_minus1_sanity_band():
     assert z < 0.0
 
 
-def test_two_routes_agree():
-    # functional-equation route vs Glaisher-limit route, independent codings
-    assert abs(zeta_prime_minus1() - zeta_prime_minus1_glaisher()) <= 1e-12
+def test_zeta_prime_minus1_meets_mpmath():
+    # 30-digit oracle; the pinned value below is 2 ulps (6.6e-17) off
+    with mpmath.workdps(30):
+        assert abs(zeta_prime_minus1() - mpmath.zeta(-1, 1, 1)) <= 1e-16
+
+
+def test_euler_gamma_meets_mpmath():
+    # 30-digit oracle; euler_gamma() is 5 ulps (5.6e-16) above gamma
+    with mpmath.workdps(30):
+        assert abs(euler_gamma() - mpmath.euler) <= 1e-15
 
 
 def test_glaisher_consistency():

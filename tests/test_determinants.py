@@ -203,6 +203,13 @@ class TestSpindleAsymptotics:
         with pytest.raises(DomainError):
             spindle_asymptotic(1.0, 0.0, "sideways")
 
+    def test_angle_collapse_expansion_holds_at_mu_zero_only(self):
+        # it was derived at mu = 0; any other mu would get the mu = 0 value
+        spindle_asymptotic(-0.5, 0.0, "beta_to_minus1")
+        for beta, mu in ((-0.5, 3.0), (0, 1.0)):  # (0, 1.0) is an admissible spindle
+            with pytest.raises(DomainError, match="mu = 0"):
+                spindle_asymptotic(beta, mu, "beta_to_minus1")
+
 
 class TestSpindleDistance:
     def test_antipodal(self):

@@ -1,6 +1,6 @@
-"""One table of bad inputs: every public function that guards a cone order
-or a positive number raises DomainError on NaN, +inf, -inf and its
-boundary value, instead of returning NaN or inf."""
+"""One table of bad inputs: every public function that guards a cone order,
+a positive number or a finite real raises DomainError on NaN, +inf, -inf
+and its boundary value, instead of returning NaN or inf."""
 
 import math
 
@@ -14,8 +14,8 @@ from conedet import (
     HyperbolicSummary,
     RationalOrder,
     ScanGrid,
+    SurfaceTopology,
     barnes_J,
-    barnes_zeta_series,
     c_beta,
     dedekind_sum,
     find_local_max,
@@ -30,8 +30,8 @@ from conedet import (
     rescale_logdet,
     spindle_asymptotic,
     zprime0_integral,
+    zprime0_taylor_near1,
     zprime_a0,
-    zprime_a0_IR,
 )
 
 NAN, INF = math.nan, math.inf
@@ -59,19 +59,17 @@ GUARDED = [
     ("ScanGrid(param='mu', fixed_other={})",
      lambda v: ScanGrid(param="mu", start=0.0, stop=1.0, steps=3, fixed_other=v), -1.0),
     ("spindle_asymptotic({})", spindle_asymptotic, -1.0),
+    ("SurfaceTopology(euler_top={})", lambda v: SurfaceTopology(euler_top=v), 2.5, True),
     # tolerances
     ("integrate_adaptive(tol={})", lambda v: integrate_adaptive(lambda x: x, 0.0, 1.0, v), 0.0),
     ("flat_sphere_area(tol={})", lambda v: flat_sphere_area(TRIANGLE, v), 0.0),
     ("barnes_J(1, tol={})", lambda v: barnes_J(1.0, v), 0.0),
     ("find_local_max({})", find_local_max, 0.0),
-    # Barnes periods and double-sum arguments
+    # Barnes periods
     ("barnes_J({})", barnes_J, 0.0),
     ("zprime0_integral({})", zprime0_integral, 0.0),
     ("zprime_a0({})", zprime_a0, 0.0),
-    ("zprime_a0_IR({})", zprime_a0_IR, 0.0),
-    ("barnes_zeta_series({}, 1, 1)", lambda v: barnes_zeta_series(v, 1.0, 1.0), 2.0),
-    ("barnes_zeta_series(3, {}, 1)", lambda v: barnes_zeta_series(3.0, v, 1.0), 0.0),
-    ("barnes_zeta_series(3, 1, {})", lambda v: barnes_zeta_series(3.0, 1.0, v), 0.0),
+    ("zprime0_taylor_near1({})", zprime0_taylor_near1),
     # special functions
     ("log_gamma({})", log_gamma, 0.0),
     ("hurwitz_zero_values({})", hurwitz_zero_values, 0.0),
@@ -87,6 +85,14 @@ GUARDED = [
     ("logdet_pullback({}, 1, 0, 0)", lambda v: logdet_pullback(v, 1.0, 0.0, 0.0), 0.0),
     ("logdet_pullback(1, {}, 0, 0)", lambda v: logdet_pullback(1.0, v, 0.0, 0.0), 0.0),
     ("pullback_constant_C(0, {})", lambda v: pullback_constant_C(0.0, v), -2.0),
+    # other real arguments: finite; mu of the spindle expansions nonnegative
+    ("spindle_asymptotic(1, mu={}, 'beta_to_infinity')",
+     lambda v: spindle_asymptotic(1.0, v, "beta_to_infinity"), -1.0),
+    ("pullback_constant_C({}, -3)", lambda v: pullback_constant_C(v, -3.0)),
+    ("logdet_pullback(1, 1, {}, 0)", lambda v: logdet_pullback(1.0, 1.0, v, 0.0)),
+    ("logdet_pullback(1, 1, 0, {})", lambda v: logdet_pullback(1.0, 1.0, 0.0, v)),
+    ("rescale_logdet({}, 0.1, 2)", lambda v: rescale_logdet(v, 0.1, 2.0)),
+    ("rescale_logdet(1, {}, 2)", lambda v: rescale_logdet(1.0, v, 2.0)),
     ("polyakov_compare(ComparisonData(bulk_phi={}))",
      lambda v: polyakov_compare(ComparisonData(bulk_phi=v))),
 ]
