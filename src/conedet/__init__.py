@@ -2,10 +2,11 @@
 
 Explicit evaluation of zeta-regularized log-determinants for spindles,
 flat polyhedral spheres, constant-curvature disks and hyperbolic spheres,
-built on Barnes double-zeta derivatives at s = 0 computed by independent
-cross-checking routes (rational closed form, integral representation,
-Taylor expansion), with deterministic adaptive quadrature and a
-Monte-Carlo oracle for the improper area integrals.
+built on Barnes double-zeta derivatives at s = 0 computed by two
+independent cross-checking routes (rational closed form and integral
+representation), with exact cone-order derivatives of the fixed-area
+spindle determinant, deterministic adaptive quadrature and a Monte-Carlo
+oracle for the improper area integrals.
 
 ``import conedet`` loads no submodule: each public name, and each submodule
 that exports them, is imported on first access and then kept here.
@@ -19,7 +20,6 @@ _EXPORTS = {
         "zprime0",
         "zprime0_integral",
         "zprime0_rational",
-        "zprime0_taylor_near1",
         "zprime_a0",
     ),
     "cone": (

@@ -1,5 +1,5 @@
 """The double zeta function zeta_B(s; a, 1, x) = sum_{m,n>=0} (a m + n + x)^(-s)
-and its s-derivative at s = 0 on the (a, 1, 1) slice, by three independent
+and its s-derivative at s = 0 on the (a, 1, 1) slice, by two independent
 routes that cross-check one another:
 
 * ``zprime0_rational``  - closed form for rational a = p/q in terms of
@@ -8,15 +8,16 @@ routes that cross-check one another:
 * ``zprime0_integral``  - the representation
       zeta'_B(0; a,1,1) = (a + 1/a) gamma/12 - (1/a + 3 + a) log(a)/12
                           + 5a/24 - log(2 pi)/4 + J(a)
-  with J(a) an exponentially convergent improper integral;
-* ``zprime0_taylor_near1`` - the cubic expansion about a = 1.
-"""
+  with J(a) an exponentially convergent improper integral.
+
+The a-derivatives of J, for the cone-order derivatives of the
+determinants, are integrals of the same kind on the same half line."""
 
 from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from math import exp, expm1, factorial, fsum, isfinite, log
+from math import exp, expm1, factorial, fsum, isfinite, log, prod
 
 from . import kernels
 from .constants import BERNOULLI_2K, euler_gamma, zeta_prime_minus1
@@ -29,7 +30,6 @@ __all__ = [
     "zprime0",
     "zprime0_integral",
     "zprime0_rational",
-    "zprime0_taylor_near1",
     "zprime_a0",
 ]
 
@@ -67,30 +67,34 @@ def _bracket_coefficients(a: float):
     return _series_coefficients(a, lambda k: a ** (1 - 2 * k) + (2 * k - 1) * a)
 
 
-def _bracket_prime_coefficients(a: float):
-    """As above for the a-derivative of the bracket: g_k'(a), all 0.0 at a = 1."""
-    return _series_coefficients(a, lambda k: (1 - 2 * k) * a ** (-2 * k) + 2 * k - 1)
+def _derivative_coefficients(a: float, n: int):
+    """As above for the n-th a-derivative of the bracket: B_{2k}/(2k)! times
+    (1-2k)(-2k)...(2-2k-n) a^(1-2k-n), plus (2k-1) when n = 1, the n-th
+    derivative of a^(1-2k) + (2k-1) a; for n = 1 each is 0.0 at a = 1."""
+
+    def weight(k):
+        falling = prod(range(1 - 2 * k, 1 - 2 * k - n, -1))
+        return falling * a ** (1 - 2 * k - n) + (2 * k - 1 if n == 1 else 0)
+
+    return _series_coefficients(a, weight)
 
 
-def _j_prime_bracket(x, a, x0, coeffs):
-    """The a-derivative csch(x/(2a))^2/(4a^2) - csch(x/2)^2/4 - (1 - 1/a^2)/12
-    of the J(a) bracket, like ``kernels.j_bracket``; the two csch terms are
-    formed alike, so every value is 0.0 at a = 1."""
-    rev = coeffs[::-1]
-    const = (1.0 - 1.0 / (a * a)) / 12.0
-    out = []
-    for t in x:
-        if t <= x0:
-            t2 = t * t
-            acc = 0.0
-            for c in rev:
-                acc = (acc + c) * t2
-            out.append(acc)
-        else:
-            # csch(t/2)^2 / 4 = e^{-t}/(1 - e^{-t})^2, finite for any large t
-            d1, d2 = -expm1(-t / a), -expm1(-t)
-            out.append(exp(-t / a) / (d1 * d1) / (a * a) - exp(-t) / (d2 * d2) - const)
-    return out
+def _derivative_direct(t: float, a: float, n: int) -> float:
+    """The n-th a-derivative of the J(a) bracket at t > x0.  With u = t/(2a),
+    s = csch(u)^2 = 4e^{-t/a}/(1 - e^{-t/a})^2, c = coth(u) = (1 + e^{-t/a})/(1 - e^{-t/a}):
+        n = 1:  s/(4a^2) - csch(t/2)^2/4 - (1 - 1/a^2)/12,
+        n = 2:  (s(u c - 1) - 1/3)/(2a^3),
+        n = 3:  (1 + s(3 + 2u^2 + 3u^2 s - 6u c))/(2a^4).
+    For n = 1 the two csch terms are formed alike, so the value is 0.0 at
+    a = 1.  The decaying-exponential forms stay finite for any large t."""
+    e, d1 = exp(-t / a), -expm1(-t / a)
+    if n == 1:
+        d2 = -expm1(-t)
+        return e / (d1 * d1) / (a * a) - exp(-t) / (d2 * d2) - (1.0 - 1.0 / (a * a)) / 12.0
+    u, s, c = t / (2.0 * a), 4.0 * e / (d1 * d1), (1.0 + e) / d1
+    if n == 2:
+        return (s * (u * c - 1.0) - 1.0 / 3.0) / (2.0 * a**3)
+    return (1.0 + s * (3.0 + 2.0 * u * u + 3.0 * u * u * s - 6.0 * u * c)) / (2.0 * a**4)
 
 
 def _half_line(name: str, a: float, tol: float, coefficients, bracket, bound) -> float:
@@ -147,10 +151,29 @@ def barnes_J(a: float, tol: float = 1e-12) -> float:
     return _half_line("J", a, tol, _bracket_coefficients, kernels.j_bracket, lambda a: a + 1 / a)
 
 
-def _barnes_J_prime(a: float, tol: float = 1e-12) -> float:
-    """J'(a), the same integral over the a-derivative of the bracket; J'(1) = 0.0."""
-    # past x = 40 the bracket is about -(1 - 1/a^2)/12
-    return _half_line("J'", a, tol, _bracket_prime_coefficients, _j_prime_bracket, lambda a: a**-2)
+def _barnes_J_derivative(a: float, n: int, tol: float = 1e-12) -> float:
+    """d^n J/da^n for n = 1, 2, 3, the same integral over the n-th
+    a-derivative of the bracket: J'(1) = 0.0, J''(1) = -1/36 and
+    J'''(1) = 1/8.  Below x0 the bracket is summed by its series, as in
+    ``kernels.j_bracket``; n = 3 is used (and checked) at a = 1 only."""
+
+    def bracket(x, a, x0, coeffs):
+        rev = coeffs[::-1]
+        out = []
+        for t in x:
+            if t <= x0:
+                t2 = t * t
+                acc = 0.0
+                for c in rev:
+                    acc = (acc + c) * t2
+                out.append(acc)
+            else:
+                out.append(_derivative_direct(t, a, n))
+        return out
+
+    # past x = 40 the n-th derivative of the bracket is about a^-(n+1) in size
+    return _half_line("J" + "'" * n, a, tol, lambda a: _derivative_coefficients(a, n), bracket,
+                      lambda a: a ** -(n + 1))
 
 
 def zprime0_integral(a: float, tol: float = 1e-12) -> float:
@@ -232,20 +255,3 @@ def zprime_a0(a, tol: float = 1e-12) -> float:
             -(av - 1.0) / 4.0 * LOG_2PI,
         ]
     )
-
-
-def zprime0_taylor_near1(a: float) -> float:
-    """Cubic expansion of zeta'_B(0; a, 1, 1) about a = 1 (trust radius 1/4):
-
-        zeta'_R(-1) - 5 b/24 + (gamma/12 + 7/36) b^2 - (gamma/12 + 29/144) b^3,
-
-    b = a - 1; truncation error O(b^4).
-    """
-    b = float(a) - 1.0
-    if not abs(b) <= 0.25:  # NaN fails this too
-        raise DomainError(f"Taylor form trusted only for |a-1| <= 0.25, got a={a}")
-    g = euler_gamma()
-    return zeta_prime_minus1() + b * (
-        -5.0 / 24.0 + b * ((g / 12.0 + 7.0 / 36.0) + b * (-(g / 12.0 + 29.0 / 144.0)))
-    )
-

@@ -248,7 +248,7 @@ def _write_curve(result, header: str, generated_by: str, out):
     option("--q", type=int, help="Denominator of a rational period."),
     tol_option(1e-10),
     option("--cross-check", action="store_true",
-           help="Evaluate both routes and their difference."),
+           help="With --p/--q, also evaluate the integral route and the difference."),
 )
 def barnes_zprime0_cmd(a_real, p, q, tol, cross_check):
     """zeta'_B(0; a, 1, 1) for a = P/Q (closed form) or real --a (quadrature)."""
@@ -259,6 +259,8 @@ def barnes_zprime0_cmd(a_real, p, q, tol, cross_check):
         _usage("--p and --q must be given together")
     if (a_real is None) == (p is None):
         _usage("give exactly one of --a or --p/--q")
+    if cross_check and p is None:
+        _usage("--cross-check needs --p/--q: a real --a has no second route", "--cross-check")
     if p is not None:
         order = RationalOrder(p, q)
         value = barnes.zprime0_rational(order)
@@ -271,10 +273,6 @@ def barnes_zprime0_cmd(a_real, p, q, tol, cross_check):
     else:
         payload = {"value": barnes.zprime0_integral(a_real, tol)}
         route = "integral"
-        if cross_check:
-            payload["taylor_route"] = (
-                barnes.zprime0_taylor_near1(a_real) if abs(a_real - 1.0) <= 0.25 else None
-            )
     return payload, {"tol": tol, "route": route}
 
 
@@ -484,14 +482,14 @@ def find_max_cmd(tol):
     )
 
 
-@command("taylor-check", option("--h", dest="step", type=float, default=1e-3))
-def taylor_check_cmd(step):
-    """Expansion coefficients of the fixed-area curve at 0 from its derivative."""
+@command("taylor-check")
+def taylor_check_cmd():
+    """Expansion coefficients of the fixed-area curve at 0 from its exact derivatives."""
     from . import extremal
 
-    c2, c3 = extremal.taylor_check_at_zero(step)
-    route = "Richardson central differences of the exact derivative L' (J'(a) quadrature)"
-    return {"c2": c2, "c3": c3}, {"h": step, "route": route}
+    c2, c3 = extremal.taylor_check_at_zero()
+    route = "exact derivatives L'' and L''' (J''(1) and J'''(1) quadrature)"
+    return {"c2": c2, "c3": c3}, {"route": route}
 
 
 @command("distance spindle", BETA, MU, CURVATURE)

@@ -115,8 +115,8 @@ def c_beta_parts(order, tol: float = 1e-12) -> dict:
 
 def c_beta(order, tol: float = 1e-12) -> float:
     """The cone contribution C(beta); C(0) = 0, C -> +inf as beta -> -1+,
-    C -> -inf as beta -> +inf."""
-    return fsum(c_beta_parts(order, tol).values())
+    C -> -inf as beta -> +inf; DomainError once the value leaves the float range."""
+    return check_finite(fsum(c_beta_parts(order, tol).values()), "C(beta)")
 
 
 def zeta_disk_at0(beta: float) -> float:
@@ -150,8 +150,11 @@ def zeta_disk_prime0(beta: float, tol: float = 1e-12) -> float:
 def zeta0_surface(topo: SurfaceTopology) -> float:
     """zeta(0) of the surface Laplacian:
     chi(M, divisor)/6 - (1/12) sum_j (b_j + 1 - 1/(b_j+1)) - dim ker."""
-    corr = fsum(o.beta + 1.0 - 1.0 / (o.beta + 1.0) for o in topo.orders)
-    return topo.chi_divisor / 6.0 - corr / 12.0 - topo.dim_ker
+    try:
+        corr = fsum(o.beta + 1.0 - 1.0 / (o.beta + 1.0) for o in topo.orders)
+        return topo.chi_divisor / 6.0 - corr / 12.0 - topo.dim_ker
+    except OverflowError as err:  # an int or an fsum beyond the float range
+        raise DomainError(f"zeta(0) leaves the float range: {err}") from None
 
 
 def heat_trace_a0(topo: SurfaceTopology) -> float:
@@ -166,4 +169,4 @@ def rescale_logdet(logdet: float, zeta0: float, r: float) -> float:
     check_finite(logdet, "log-determinant")
     check_finite(zeta0, "zeta(0)")
     check_positive(r, "scale factor")
-    return logdet - 2.0 * zeta0 * log(r)
+    return check_finite(logdet - 2.0 * zeta0 * log(r), "rescaled log-determinant")

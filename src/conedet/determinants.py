@@ -12,7 +12,7 @@ to the term responsible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import atan, exp, fsum, isfinite, log, pi, sqrt
+from math import atan, exp, fsum, inf, isfinite, log, pi, sqrt
 
 from .barnes import barnes_tol, zprime0, zprime_a0
 from .cone import ConeOrder, c_beta
@@ -53,7 +53,9 @@ class LogDet:
 
     @classmethod
     def from_parts(cls, parts: dict) -> "LogDet":
-        return cls(total=fsum(parts.values()), parts=dict(parts))
+        """DomainError when the total leaves the float range."""
+        total = check_finite(fsum(parts.values()), "log-determinant")
+        return cls(total=total, parts=dict(parts))
 
 
 @dataclass(frozen=True)
@@ -89,6 +91,15 @@ class SpindleConfig:
             )
 
 
+def _angle_area(a: float, mu: float, k: float) -> float:
+    """-(1/6)(a - 1/a) log(1 + mu^2/K), the mu term of the spindle determinants;
+    DomainError when mu^2 overflows."""
+    try:
+        return -(a - 1.0 / a) / 6.0 * log(1.0 + mu**2 / k)
+    except OverflowError:
+        raise DomainError(f"mu^2 leaves the float range: mu = {mu}") from None
+
+
 def round_sphere_logdet() -> float:
     """log det on the standard round curvature-one sphere (area 4 pi):
     1/2 - 4 zeta'_R(-1)."""
@@ -107,7 +118,7 @@ def logdet_spindle(cfg: SpindleConfig, tol: float = 1e-12) -> LogDet:
     a = order.beta + 1.0
     k = cfg.curvature
     parts = {
-        "angle_area": -(a - 1.0 / a) / 6.0 * log(1.0 + cfg.mu**2 / k),
+        "angle_area": _angle_area(a, cfg.mu, k),
         "linear": 0.5 * a,
         "cone_scale": -(a + 1.0 / a) / 3.0 * log(a / sqrt(k)),
         "barnes": -4.0 * zprime0(order.barnes_argument(), barnes_tol(a, tol)),
@@ -129,7 +140,7 @@ def logdet_spindle_area4pi(beta, mu: float = 0.0, tol: float = 1e-12) -> LogDet:
     a = order.beta + 1.0
     SpindleConfig(beta=order, mu=mu, curvature=a)  # the family's mu rule
     parts = {
-        "angle_area": -(a - 1.0 / a) / 6.0 * log(1.0 + mu**2 / a),
+        "angle_area": _angle_area(a, mu, a),
         "cone_scale": -(1.0 + (a + 1.0 / a) / 6.0) * log(a),
         "barnes": -4.0 * zprime0(order.barnes_argument(), barnes_tol(a, tol)),
         "linear": 0.5 * a,
@@ -162,7 +173,7 @@ def spindle_asymptotic(beta: float, mu: float = 0.0, regime: str = "beta_to_minu
     if regime == "beta_to_infinity":
         return fsum(
             [
-                -(a - 1.0 / a) / 6.0 * log(1.0 + mu**2 / a),
+                _angle_area(a, mu, a),
                 (a + 1.0 / a) / 6.0 * log(a),
                 (1.0 / 6.0 + 4.0 * zp) * a,
                 LOG_2PI,
@@ -365,9 +376,12 @@ def pullback_constant_C(logdet_phi: float, degree: float) -> float:
     if not (isfinite(degree) and 2.0 + degree < 0.0):
         raise DomainError(f"degree must be finite and below -2, got {degree}")
     check_finite(logdet_phi, "log det of the base metric")
-    return -(2.0 ** (2.0 / 3.0)) * exp(6.0 * zeta_prime_minus1()) / (2.0 + degree) * exp(
-        2.0 * logdet_phi
-    )
+    try:
+        det_squared = exp(2.0 * logdet_phi)
+    except OverflowError:
+        det_squared = inf
+    value = -(2.0 ** (2.0 / 3.0)) * exp(6.0 * zeta_prime_minus1()) / (2.0 + degree) * det_squared
+    return check_finite(value, "constant C")
 
 
 def logdet_pullback(c: float, mu: float, phi_at_0: float, phi_at_1_over_mu: float) -> float:
@@ -437,7 +451,7 @@ def polyakov_compare(data: ComparisonData, tol: float = 1e-10) -> float:
         terms.append(-data.boundary_normal / (4.0 * pi))
     terms.append(_singular_bracket(data.singularities))
     terms.extend(-c_beta(b, tol=tol) for b, _, _ in data.singularities)
-    return fsum(terms)
+    return check_finite(fsum(terms), "comparison value")
 
 
 def polyakov_compare_two_singular(
@@ -468,4 +482,4 @@ def polyakov_compare_two_singular(
     for (b, _, _), (a, _, _) in zip(data_new.singularities, data_ref.singularities):
         terms.append(-c_beta(b, tol=tol))
         terms.append(c_beta(a, tol=tol))
-    return fsum(terms)
+    return check_finite(fsum(terms), "comparison value")

@@ -44,7 +44,9 @@ def check_positive(value, what: str) -> None:
         raise DomainError(f"{what} must be finite and positive, got {value}")
 
 
-def check_finite(value, what: str) -> None:
-    """DomainError on NaN and +-inf; ``what`` names ``value`` in the message."""
+def check_finite(value, what: str):
+    """``value``, or DomainError on NaN and +-inf; ``what`` names ``value``
+    in the message."""
     if not isfinite(value):
         raise DomainError(f"{what} must be finite, got {value}")
+    return value

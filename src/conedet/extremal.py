@@ -1,8 +1,8 @@
 """Parameter studies of the fixed-area two-cone sphere family: curve
 scans for the cone contribution C(beta) and the fixed-area determinant,
-and, from the exact derivative of the fixed-area log-determinant in the
-cone order (through J'(a)), the round-sphere maximum and the expansion
-coefficients at beta = 0.
+and, from the exact derivatives of the fixed-area log-determinant in the
+cone order (through J'(a), J''(a) and J'''(a)), the round-sphere maximum
+and the expansion coefficients at beta = 0.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import exp, isfinite, log
 
-from .barnes import _barnes_J_prime
+from .barnes import _barnes_J_derivative
 from .cone import c_beta
 from .constants import euler_gamma
 from .determinants import logdet_spindle_area4pi
@@ -28,7 +28,6 @@ __all__ = [
 # A scan row costs up to a few milliseconds, so this many take seconds.
 MAX_SCAN_STEPS = 10_000
 _OBJECTIVE_TOL = 1e-13  # quadrature tolerance for objective evaluations
-_STEP = 1e-3  # difference step for the curvature at the maximum
 _NEWTON_STEPS = 8
 
 
@@ -103,9 +102,9 @@ def scan_curve(target: str, grid: ScanGrid) -> ScanResult:
     """Tabulate ``cbeta`` or ``fixed_area_det`` over the grid.
 
     The determinant curve is emitted exponentiated (the plotted quantity).
-    Rows whose evaluation raises a domain error or leaves the float range
-    are skipped and flagged rather than aborting the scan; the param column
-    is monotone.
+    Rows whose evaluation raises a domain error, a value outside the float
+    range among them, are skipped and flagged rather than aborting the
+    scan; the param column is monotone.
     """
     if target not in ("cbeta", "fixed_area_det"):
         raise DomainError(f"unknown scan target {target!r}")
@@ -117,8 +116,6 @@ def scan_curve(target: str, grid: ScanGrid) -> ScanResult:
             value = _row_value(target, grid, x)
         except DomainError as err:
             return None, (x, str(err))
-        if not isfinite(value):
-            return None, (x, f"value {value!r} leaves the float range")
         return (x, value), None
 
     outcomes = [run(x) for x in grid.values()]
@@ -135,36 +132,30 @@ def _objective(beta: float) -> float:
     """
     a = float(beta) + 1.0
     closed = (1.0 - 1.0 / (a * a)) * (log(a) - 1.0 - 2.0 * euler_gamma()) / 6.0
-    return closed - 4.0 * _barnes_J_prime(a, _OBJECTIVE_TOL)
+    return closed - 4.0 * _barnes_J_derivative(a, 1, _OBJECTIVE_TOL)
 
 
-def _derivatives(beta: float, h: float):
-    """L' at beta with L'' and L''' from central differences of L' at steps
-    h and h/2, Richardson-extrapolated (truncation O(h^4)); five
-    ``_objective`` calls."""
-    d = {s: _objective(beta + s) for s in (0.0, -h, h, -h / 2.0, h / 2.0)}
-
-    def stencils(s):
-        return (d[s] - d[-s]) / (2.0 * s), (d[s] - 2.0 * d[0.0] + d[-s]) / (s * s)
-
-    d2a, d3a = stencils(h)
-    d2b, d3b = stencils(h / 2.0)
-    return d[0.0], (4.0 * d2b - d2a) / 3.0, (4.0 * d3b - d3a) / 3.0
+def _curvature(beta: float) -> float:
+    """L''(beta) = (log a - 1 - 2 gamma)/(3a^3) + (1 - a^-2)/(6a) - 4 J''(a), a = beta + 1."""
+    a = float(beta) + 1.0
+    closed = (log(a) - 1.0 - 2.0 * euler_gamma()) / (3.0 * a**3)
+    closed += (1.0 - 1.0 / (a * a)) / (6.0 * a)
+    return closed - 4.0 * _barnes_J_derivative(a, 2, _OBJECTIVE_TOL)
 
 
 def find_local_max(tol: float = 1e-8) -> ExtremumReport:
     """Locate the interior maximum of the fixed-area determinant at mu = 0.
 
-    Newton iteration on L' from the midpoint of the bracket [-0.7, 0.7],
-    which contains the maximizer; a step that leaves the bracket or a
-    curvature L'' >= 0 is a ConvergenceError.  The achieved tolerance is the
-    last Newton step.
+    Newton iteration on the exact L' and L'' from the midpoint of the
+    bracket [-0.7, 0.7], which contains the maximizer; a step that leaves
+    the bracket or a curvature L'' >= 0 is a ConvergenceError.  The
+    achieved tolerance is the last Newton step.
     """
     check_positive(tol, "tolerance")
     lo, hi = -0.7, 0.7
     beta = 0.5 * (lo + hi)
     for _ in range(_NEWTON_STEPS):
-        slope, second, _ = _derivatives(beta, _STEP)
+        slope, second = _objective(beta), _curvature(beta)
         if not second < 0.0:
             raise ConvergenceError(f"curvature {second!r} at beta = {beta!r} is not negative")
         step = slope / second
@@ -180,17 +171,16 @@ def find_local_max(tol: float = 1e-8) -> ExtremumReport:
         location=beta,
         value=logdet_spindle_area4pi(beta, 0.0, tol=_OBJECTIVE_TOL).total,
         second_derivative=second,
-        method="Newton iteration on the exact derivative L' (J'(a) quadrature);"
-        " L'' by Richardson central differences of L'",
+        method="Newton iteration on the exact derivatives L' and L''"
+        " (J'(a) and J''(a) quadrature)",
         tolerance_achieved=abs(step),
     )
 
 
-def taylor_check_at_zero(h: float):
+def taylor_check_at_zero():
     """(c2, c3) = (L''/2, L'''/6) at beta = 0, the expansion coefficients
-    of the fixed-area log-determinant, from differences of L' at step h."""
-    if not 1e-4 <= h <= 1e-2:
-        raise DomainError(f"step size must lie in [1e-4, 1e-2], got {h}")
-    _, second, third = _derivatives(0.0, h)
-    return second / 2.0, third / 6.0
+    of the fixed-area log-determinant, from J''(1) and J'''(1); the closed
+    part of L''' at a = 1 is 5/3 + 2 gamma."""
+    third = 5.0 / 3.0 + 2.0 * euler_gamma() - 4.0 * _barnes_J_derivative(1.0, 3, _OBJECTIVE_TOL)
+    return _curvature(0.0) / 2.0, third / 6.0
 

@@ -22,6 +22,18 @@ def gamma():
     return euler_gamma()
 
 
+@pytest.fixture(scope="session")
+def fixed_area_taylor():
+    """(c2, c3) = (-(gamma/3 + 1/9), gamma/3 + 7/36), the expansion
+    coefficients of the fixed-area log-determinant at beta = 0, formed at
+    30 digits and rounded once: ``euler_gamma()`` is 5 ulps high."""
+    import mpmath
+
+    with mpmath.workdps(30):
+        g, one = mpmath.euler, mpmath.mpf(1)
+        return float(-(g / 3 + one / 9)), float(g / 3 + 7 * one / 36)
+
+
 def zprime_a0_ir(a, tol=1e-12):
     """Z'_a(0) by its integral-representation definition,
         (1/a - a)(gamma - log 2)/12 - (1/a + 3 + a) log(a)/12 + J(a)

@@ -132,18 +132,19 @@ def test_criterion_05_sphere_degenerations(zp):
     )
 
 
-def test_criterion_06_extremal_reproduction(gamma):
+def test_criterion_06_extremal_reproduction(fixed_area_taylor):
     rep = find_local_max(tol=1e-6)
     loc_ok = abs(rep.location) <= 1e-14
     val_ok = abs(rep.value - round_sphere_logdet()) <= 1e-15
-    c2, c3 = taylor_check_at_zero(1e-3)
-    c2_ok = abs(c2 - (-(gamma / 3.0 + 1.0 / 9.0))) <= 1e-11
-    c3_ok = abs(c3 - (gamma / 3.0 + 7.0 / 36.0)) <= 1e-8
+    c2, c3 = taylor_check_at_zero()
+    c2_err, c3_err = abs(c2 - fixed_area_taylor[0]), abs(c3 - fixed_area_taylor[1])
+    c2_ok = c2_err <= 1e-14
+    c3_ok = c3_err <= 1e-14
     report(
         "6 extremal-reproduction",
         loc_ok and val_ok and c2_ok and c3_ok,
         f"beta* = {rep.location:.2e}, value diff = {abs(rep.value - round_sphere_logdet()):.2e}, "
-        f"c2 err = {abs(c2 + gamma / 3.0 + 1.0 / 9.0):.2e}, c3 err = {abs(c3 - gamma / 3.0 - 7.0 / 36.0):.2e}",
+        f"c2 err = {c2_err:.2e}, c3 err = {c3_err:.2e}",
     )
 
 

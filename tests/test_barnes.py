@@ -1,6 +1,7 @@
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -14,10 +15,9 @@ from conedet import (
     zprime0,
     zprime0_integral,
     zprime0_rational,
-    zprime0_taylor_near1,
     zprime_a0,
 )
-from conedet.barnes import MAX_RATIONAL_TERMS, _bracket_coefficients
+from conedet.barnes import MAX_RATIONAL_TERMS, _barnes_J_derivative, _bracket_coefficients
 from conedet import kernels, quadrature
 from conftest import coprime_pairs, zprime_a0_ir
 
@@ -237,19 +237,46 @@ class TestZPrimeA0:
         assert abs(got - zprime_a0_ir(1.0 / 3.0, 1e-11)) <= 1e-8
 
 
+def taylor_coefficients_30():
+    """The Taylor coefficients of zeta'_B(0; a, 1, 1) - zeta'_R(-1) at a = 1
+    through b^3, b = a - 1, at 30 digits: -5/24, gamma/12 + 7/36 and
+    -(gamma/12 + 29/144)."""
+    with mpmath.workdps(30):
+        g, one = mpmath.euler, mpmath.mpf(1)
+        return [-5 * one / 24, g / 12 + 7 * one / 36, -(g / 12 + 29 * one / 144)]
+
+
+def taylor_near1(a):
+    """The cubic expansion of zeta'_B(0; a, 1, 1) about a = 1; error O((a-1)^4)."""
+    c1, c2, c3 = map(float, taylor_coefficients_30())
+    b = a - 1.0
+    return zeta_prime_minus1() + b * (c1 + b * (c2 + b * c3))
+
+
 class TestTaylorNearOne:
     def test_center(self, zp):
-        assert zprime0_taylor_near1(1.0) == zp
+        assert zprime0_rational(RationalOrder(1, 1)) == zp
+        assert abs(zprime0_integral(1.0, 1e-13) - zp) <= 1e-15
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_coefficient_from_derivative(self, n):
+        # the n-th coefficient is (closed part + J)^(n)(1)/n!, the closed part
+        # of zprime0_integral differentiated by mpmath at 30 digits
+        with mpmath.workdps(30):
+            g = mpmath.euler
+
+            def closed(a):
+                return (a + 1 / a) * g / 12 - (1 / a + 3 + a) * mpmath.log(a) / 12 + 5 * a / 24
+
+            closed_n = mpmath.diff(closed, 1, n)
+            got = (closed_n + _barnes_J_derivative(1.0, n, 1e-13)) / math.factorial(n)
+            assert abs(got - taylor_coefficients_30()[n - 1]) <= 1e-15
 
     def test_close_agreement(self):
-        assert abs(zprime0_taylor_near1(1.01) - zprime0_integral(1.01, 1e-12)) <= 5e-8
+        assert abs(taylor_near1(1.01) - zprime0_integral(1.01, 1e-12)) <= 5e-8
 
     def test_tenth_away(self):
-        assert abs(zprime0_taylor_near1(0.9) - zprime0_integral(0.9, 1e-12)) <= 1e-4
-
-    def test_trust_radius(self):
-        with pytest.raises(DomainError):
-            zprime0_taylor_near1(1.3)
+        assert abs(taylor_near1(0.9) - zprime0_integral(0.9, 1e-12)) <= 1e-4
 
     def test_quartic_remainder_scaling(self):
         # |taylor - integral| / (a-1)^4 stays bounded as a -> 1
@@ -257,6 +284,6 @@ class TestTaylorNearOne:
         for k in range(3, 8):
             b = 2.0**-k
             for a in (1.0 + b, 1.0 - b):
-                diff = abs(zprime0_taylor_near1(a) - zprime0_integral(a, 1e-13))
+                diff = abs(taylor_near1(a) - zprime0_integral(a, 1e-13))
                 ratios.append(diff / b**4)
         assert max(ratios) < 1.0

@@ -71,25 +71,22 @@ class TestScalarCommands:
         res = invoke(["det", "flat-disk", "--radius", "1.0"])
         assert res.exit_code == 0
 
-    def test_taylor_check(self, gamma):
-        res = invoke(["taylor-check", "--h", "1e-3"])
-        data = payload(res)
-        assert data["c2"] == pytest.approx(-(gamma / 3 + 1.0 / 9.0), abs=1e-11)
-        assert data["c3"] == pytest.approx(gamma / 3 + 7.0 / 36.0, abs=1e-8)
+    def test_taylor_check(self, fixed_area_taylor):
+        data = payload(invoke(["taylor-check"]))
+        assert abs(data["c2"] - fixed_area_taylor[0]) <= 1e-14
+        assert abs(data["c3"] - fixed_area_taylor[1]) <= 1e-14
 
     def test_find_max(self):
         res = invoke(["find-max", "--tol", "1e-6"])
         assert abs(payload(res)["location"]) <= 1e-14
 
-    def test_find_max_default_flags(self, gamma):
+    def test_find_max_default_flags(self, fixed_area_taylor):
         res = invoke(["find-max"])
         assert res.exit_code == 0
         data = payload(res)
         assert data["tolerance_achieved"] <= 1e-8
         assert abs(data["location"]) <= 1e-14
-        assert data["second_derivative"] == pytest.approx(
-            -2.0 * (gamma / 3 + 1.0 / 9.0), abs=1e-12
-        )
+        assert abs(data["second_derivative"] - 2.0 * fixed_area_taylor[0]) <= 1e-14
 
     def test_find_max_tight_tol(self):
         res = invoke(["find-max", "--tol", "1e-12"])
@@ -190,6 +187,13 @@ class TestValidationAndExitCodes:
         res = invoke(["barnes-zprime0", "--a", "1.5", "--p", "3", "--q", "2"])
         err = assert_one_json_error(res, 2, "usage")
         assert err["message"] == "give exactly one of --a or --p/--q"
+
+    def test_cross_check_needs_a_rational_period(self):
+        res = invoke(["barnes-zprime0", "--a", "1.1", "--cross-check"])
+        assert assert_one_json_error(res, 2, "usage")["parameter"] == "--cross-check"
+
+    def test_taylor_check_takes_no_step(self):
+        assert_one_json_error(invoke(["taylor-check", "--h", "1e-3"]), 2, "usage")
 
     def test_validation_happens_before_math(self):
         res = invoke(["cbeta", "--beta", "-1.0"])
@@ -399,7 +403,7 @@ class TestFloatRange:
         lines = res.output.splitlines()
         assert lines[2].startswith("1e+154,")
         assert [line.split(":")[1] for line in lines[3:]] == [
-            " value -inf leaves the float range"
+            " C(beta) must be finite, got -inf"
         ] * 2
 
     @pytest.mark.parametrize("mu", ["-1", "nan", "inf"])

@@ -107,12 +107,10 @@ class TestFindLocalMax:
         assert abs(report.location) <= 1e-14
         assert report.value == pytest.approx(round_sphere_logdet(), abs=1e-15)
 
-    def test_second_derivative(self, gamma):
-        # the quadratic coefficient of the fixed-area curve at 0 is -(gamma/3 + 1/9)
+    def test_second_derivative(self, fixed_area_taylor):
+        # L''(0) is twice the quadratic coefficient c2 of the fixed-area curve
         report = find_local_max(tol=1e-6)
-        assert report.second_derivative == pytest.approx(
-            -2.0 * (gamma / 3.0 + 1.0 / 9.0), abs=1e-12
-        )
+        assert abs(report.second_derivative - 2.0 * fixed_area_taylor[0]) <= 1e-14
 
     def test_default_tolerance(self):
         # the maximizer is beta = 0 exactly; the reported uncertainty must
@@ -125,7 +123,7 @@ class TestFindLocalMax:
         calls = []
         monkeypatch.setattr(extremal, "_objective", lambda b: calls.append(b) or _objective(b))
         find_local_max()
-        assert len(calls) <= 10
+        assert calls == [0.0]  # L'(0) is 0.0 exactly, so the first Newton step is 0
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
     def test_rejects_bad_tolerance(self, bad):
@@ -134,13 +132,7 @@ class TestFindLocalMax:
 
 
 class TestTaylorCheck:
-    def test_coefficients(self, gamma):
-        c2, c3 = taylor_check_at_zero(1e-3)
-        assert c2 == pytest.approx(-(gamma / 3.0 + 1.0 / 9.0), abs=1e-11)
-        assert c3 == pytest.approx(gamma / 3.0 + 7.0 / 36.0, abs=1e-8)
-
-    def test_step_domain(self):
-        with pytest.raises(DomainError):
-            taylor_check_at_zero(1e-5)
-        with pytest.raises(DomainError):
-            taylor_check_at_zero(0.1)
+    def test_coefficients(self, fixed_area_taylor):
+        c2, c3 = taylor_check_at_zero()
+        assert abs(c2 - fixed_area_taylor[0]) <= 1e-14
+        assert abs(c3 - fixed_area_taylor[1]) <= 1e-14

@@ -1,6 +1,8 @@
-"""One table of bad inputs: every public function that guards a cone order,
-a positive number or a finite real raises DomainError on NaN, +inf, -inf
-and its boundary value, instead of returning NaN or inf."""
+"""Two tables of bad inputs.  Every public function that guards a cone
+order, a positive number or a finite real raises DomainError on NaN, +inf,
+-inf and its boundary value, instead of returning NaN or inf; and finite
+inputs whose result leaves the float range raise DomainError too, instead
+of returning +-inf or raising OverflowError."""
 
 import math
 
@@ -14,6 +16,7 @@ from conedet import (
     HyperbolicSummary,
     RationalOrder,
     ScanGrid,
+    SpindleConfig,
     SurfaceTopology,
     barnes_J,
     c_beta,
@@ -25,12 +28,15 @@ from conedet import (
     log_gamma,
     logdet_flat_disk,
     logdet_pullback,
+    logdet_spindle,
+    logdet_spindle_area4pi,
     polyakov_compare,
+    polyakov_compare_two_singular,
     pullback_constant_C,
     rescale_logdet,
     spindle_asymptotic,
+    zeta0_surface,
     zprime0_integral,
-    zprime0_taylor_near1,
     zprime_a0,
 )
 
@@ -69,7 +75,6 @@ GUARDED = [
     ("barnes_J({})", barnes_J, 0.0),
     ("zprime0_integral({})", zprime0_integral, 0.0),
     ("zprime_a0({})", zprime_a0, 0.0),
-    ("zprime0_taylor_near1({})", zprime0_taylor_near1),
     # special functions
     ("log_gamma({})", log_gamma, 0.0),
     ("hurwitz_zero_values({})", hurwitz_zero_values, 0.0),
@@ -109,3 +114,27 @@ def test_rejects_non_finite_and_boundary_values(call, value):
     with pytest.raises(DomainError):
         call(value)
 
+
+
+# finite inputs whose result, or a step on the way, leaves the float range
+OUT_OF_RANGE = {
+    "pullback_constant_C(400, -3)": lambda: pullback_constant_C(400.0, -3.0),
+    "rescale_logdet(1, 1e308, 1e300)": lambda: rescale_logdet(1.0, 1e308, 1e300),
+    "zeta0_surface(euler_top=10**400)": lambda: zeta0_surface(SurfaceTopology(euler_top=10**400)),
+    "logdet_spindle(beta=1, mu=1e200)": lambda: logdet_spindle(SpindleConfig(beta=1, mu=1e200)),
+    "logdet_spindle_area4pi(1, 1e300)": lambda: logdet_spindle_area4pi(1, 1e300),
+    "c_beta(1e155)": lambda: c_beta(1e155),
+    "polyakov_compare(bulk_phi=bulk_0=1e308)":
+        lambda: polyakov_compare(ComparisonData(bulk_phi=1e308, bulk_0=1e308)),
+    "polyakov_compare_two_singular(bulk_phi=1e308, 1e308)":
+        lambda: polyakov_compare_two_singular(ComparisonData(bulk_phi=1e308),
+                                              ComparisonData(bulk_phi=1e308)),
+    "spindle_asymptotic(1, mu=1e200, 'beta_to_infinity')":
+        lambda: spindle_asymptotic(1, 1e200, "beta_to_infinity"),
+}
+
+
+@pytest.mark.parametrize("call", OUT_OF_RANGE.values(), ids=OUT_OF_RANGE)
+def test_rejects_results_outside_the_float_range(call):
+    with pytest.raises(DomainError):
+        call()
