@@ -50,7 +50,7 @@ class _Parser(argparse.ArgumentParser):
     -0.5,-0.2``)."""
 
     def error(self, message):
-        named = re.search(r"(?:^argument |required: )(--[\w-]+)", message)
+        named = re.search(r"(?:^argument |required: |^unrecognized arguments: )(--[\w-]+)", message)
         _usage(message, named.group(1) if named else None)
 
     def _parse_optional(self, arg_string):
@@ -246,7 +246,7 @@ def _write_curve(result, header: str, generated_by: str, out):
     option("--a", dest="a_real", type=float, help="Real first period."),
     option("--p", type=int, help="Numerator of a rational period."),
     option("--q", type=int, help="Denominator of a rational period."),
-    tol_option(1e-10),
+    tol_option(1e-10, "Tolerance: the integral route is within 2 tol max(1, a + 1/a)"),
     option("--cross-check", action="store_true",
            help="With --p/--q, also evaluate the integral route and the difference."),
 )

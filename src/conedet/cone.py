@@ -11,7 +11,7 @@ import numbers
 from dataclasses import dataclass, field
 from math import fsum, log
 
-from .barnes import barnes_tol, zprime0
+from .barnes import zprime0
 from .constants import zeta_prime_minus1
 from .errors import ConfigurationError, DomainError, check_finite, check_order, check_positive
 from .special import LOG_2PI, RationalOrder
@@ -105,7 +105,7 @@ def c_beta_parts(order, tol: float = 1e-12) -> dict:
     beta = order.beta
     a = beta + 1.0
     return {
-        "barnes": 2.0 * zprime0(order.barnes_argument(), barnes_tol(a, tol))
+        "barnes": 2.0 * zprime0(order.barnes_argument(), tol)
         - 2.0 * zeta_prime_minus1(),
         "log2": -beta * beta / (6.0 * a) * log(2.0),
         "linear": -beta / 12.0,
@@ -139,7 +139,7 @@ def zeta_disk_prime0(beta: float, tol: float = 1e-12) -> float:
     a = order.beta + 1.0
     return fsum(
         [
-            2.0 * zprime0(order.barnes_argument(), barnes_tol(a, tol)),
+            2.0 * zprime0(order.barnes_argument(), tol),
             5.0 * a / 12.0,
             0.5 * log(a),
             0.5 * LOG_2PI,

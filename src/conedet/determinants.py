@@ -14,10 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import atan, exp, fsum, inf, isfinite, log, pi, sqrt
 
-from .barnes import barnes_tol, zprime0, zprime_a0
+from .barnes import zprime0, zprime_a0
 from .cone import ConeOrder, c_beta
 from .constants import zeta_prime_minus1
-from .errors import ConfigurationError, DomainError, check_finite, check_order, check_positive
+from .errors import (
+    ConfigurationError, DomainError, check_finite, check_order, check_positive, finite_fsum,
+)
 from .quadrature import FlatSphereConfig, flat_sphere_area
 from .special import LOG_2PI
 
@@ -54,7 +56,7 @@ class LogDet:
     @classmethod
     def from_parts(cls, parts: dict) -> "LogDet":
         """DomainError when the total leaves the float range."""
-        total = check_finite(fsum(parts.values()), "log-determinant")
+        total = finite_fsum(parts.values(), "log-determinant")
         return cls(total=total, parts=dict(parts))
 
 
@@ -121,7 +123,7 @@ def logdet_spindle(cfg: SpindleConfig, tol: float = 1e-12) -> LogDet:
         "angle_area": _angle_area(a, cfg.mu, k),
         "linear": 0.5 * a,
         "cone_scale": -(a + 1.0 / a) / 3.0 * log(a / sqrt(k)),
-        "barnes": -4.0 * zprime0(order.barnes_argument(), barnes_tol(a, tol)),
+        "barnes": -4.0 * zprime0(order.barnes_argument(), tol),
         "curvature_norm": -log(k),
     }
     return LogDet.from_parts(parts)
@@ -142,7 +144,7 @@ def logdet_spindle_area4pi(beta, mu: float = 0.0, tol: float = 1e-12) -> LogDet:
     parts = {
         "angle_area": _angle_area(a, mu, a),
         "cone_scale": -(1.0 + (a + 1.0 / a) / 6.0) * log(a),
-        "barnes": -4.0 * zprime0(order.barnes_argument(), barnes_tol(a, tol)),
+        "barnes": -4.0 * zprime0(order.barnes_argument(), tol),
         "linear": 0.5 * a,
     }
     return LogDet.from_parts(parts)
@@ -357,8 +359,8 @@ def logdet_hyperbolic_sphere(summary: HyperbolicSummary, tol: float = 1e-10) -> 
         "log_area_degree": log(-2.0 - summary.degree),
         "liouville": summary.liouville_integral / (12.0 * pi),
         "potential_infinity": -(1.0 + 1.0 / (bn + 1.0)) * phis[-1] / 6.0,
-        "potential_finite": fsum(
-            b / (b + 1.0) * p for b, p in zip(orders[:-1], phis[:-1])
+        "potential_finite": finite_fsum(
+            (b / (b + 1.0) * p for b, p in zip(orders[:-1], phis[:-1])), "potential sum"
         )
         / 6.0,
         "cone_terms": -fsum(c_beta(b, tol=tol) for b in orders),
@@ -451,7 +453,7 @@ def polyakov_compare(data: ComparisonData, tol: float = 1e-10) -> float:
         terms.append(-data.boundary_normal / (4.0 * pi))
     terms.append(_singular_bracket(data.singularities))
     terms.extend(-c_beta(b, tol=tol) for b, _, _ in data.singularities)
-    return check_finite(fsum(terms), "comparison value")
+    return finite_fsum(terms, "comparison value")
 
 
 def polyakov_compare_two_singular(
@@ -482,4 +484,4 @@ def polyakov_compare_two_singular(
     for (b, _, _), (a, _, _) in zip(data_new.singularities, data_ref.singularities):
         terms.append(-c_beta(b, tol=tol))
         terms.append(c_beta(a, tol=tol))
-    return check_finite(fsum(terms), "comparison value")
+    return finite_fsum(terms, "comparison value")

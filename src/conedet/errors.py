@@ -1,12 +1,13 @@
 """Exception types shared across the package, and the three input guards
 every layer uses: ``check_order`` for cone orders, ``check_positive`` for
-periods, radii, scales and tolerances, ``check_finite`` for any other real.
+periods, radii, scales and tolerances, ``check_finite`` for any other real,
+and ``finite_fsum`` for sums whose terms may leave the float range.
 
 The CLI maps these onto distinct exit codes, so the math layers should
 raise the most specific type that applies instead of bare ValueError.
 """
 
-from math import inf, isfinite
+from math import fsum, inf, isfinite
 
 
 class DomainError(ValueError):
@@ -50,3 +51,14 @@ def check_finite(value, what: str):
     if not isfinite(value):
         raise DomainError(f"{what} must be finite, got {value}")
     return value
+
+
+def finite_fsum(values, what: str) -> float:
+    """fsum of ``values``, or DomainError when it leaves the float range:
+    an infinite or NaN total, terms of both infinite signs, or an
+    intermediate overflow; ``what`` names the sum in the message."""
+    try:
+        total = fsum(values)
+    except (OverflowError, ValueError) as err:
+        raise DomainError(f"{what} leaves the float range: {err}") from None
+    return check_finite(total, what)

@@ -17,9 +17,9 @@ from conedet import (
     zprime0_rational,
     zprime_a0,
 )
-from conedet.barnes import MAX_RATIONAL_TERMS, _barnes_J_derivative, _bracket_coefficients
+from conedet.barnes import MAX_RATIONAL_TERMS, _barnes_J_derivative, _series_coefficients
 from conedet import kernels, quadrature
-from conftest import coprime_pairs, zprime_a0_ir
+from conftest import coprime_pairs, j_mpmath, zprime_a0_ir
 
 LOG_2PI = math.log(2 * math.pi)
 
@@ -54,14 +54,14 @@ class TestJIntegral:
 
     def test_integrand_vanishes_at_origin(self):
         # bracket is O(x^2), prefactor O(1/x): the integrand falls linearly
-        x0, coeffs = _bracket_coefficients(1.0)
+        x0, coeffs = _series_coefficients(1.0, 0)
         x = np.array([1e-8, 1e-6, 1e-4])
         vals = kernels.j_bracket(x, 1.0, x0, coeffs) / np.expm1(x)
         np.testing.assert_array_less(np.abs(vals), 0.01 * x)
 
     def test_bracket_series_matches_direct_at_crossover(self):
         for a in (0.2, 1.0, 3.7):
-            x0, coeffs = _bracket_coefficients(a)
+            x0, coeffs = _series_coefficients(a, 0)
             x = np.array([x0 * 0.98, x0 * 1.02])
             both = kernels.j_bracket(x, a, x0, coeffs)
             direct = kernels.j_bracket(x, a, 0.0, coeffs)  # force direct branch
@@ -95,18 +95,29 @@ class TestJIntegral:
                 zprime0_integral(1.5, bad_tol)
 
     @pytest.mark.parametrize(
-        "a, tol", [(1e-14, 1e-10), (1e-300, 1e-10), (1e-8, 5e-324), (1.7e308, 1e298)]
+        "a, tol", [(1e-300, 1e-10), (1e-8, 5e-324), (1.7e308, 1e298)]
     )
     def test_unservable_input_is_convergence_error(self, a, tol):
-        # a bracket series that overflows a float, or a tol whose half
-        # underflows to 0, ends in ConvergenceError naming the input
+        # a bracket series that overflows a float, or a tol the quadrature
+        # cannot certify, ends in ConvergenceError naming the input
         with pytest.raises(ConvergenceError, match=re.escape(f"J({a})")):
             barnes_J(a, tol)
 
-    @pytest.mark.parametrize(
-        "a, tol, max_estimate",
-        [(1e-6, 1e-12, math.inf), (1e4, 1e-12, math.inf), (2.0, 1e-300, 1e-10)],
-    )
+    @pytest.mark.parametrize("a, tol", [(1e-14, 1e-10), (1e-6, 1e-12), (1e4, 1e-12)])
+    def test_tol_scaled_by_the_size_bound_converges(self, a, tol):
+        # once unservable at an absolute tol: J is within tol max(1, a + 1/a)
+        want = float(j_mpmath(a))
+        got = barnes_J(a, tol)
+        assert abs(got - want) <= 1e-13 * abs(want)
+        assert abs(got - want) <= tol * max(1.0, a + 1.0 / a)
+
+    def test_tol_scale_out_of_range_names_the_tol(self):
+        # tol * (a + 1/a) overflows a float
+        message = re.escape("J(1e-10) quadrature cannot reach tol=1e+300")
+        with pytest.raises(ConvergenceError, match=message):
+            barnes_J(1e-10, 1e300)
+
+    @pytest.mark.parametrize("a, tol, max_estimate", [(2.0, 1e-300, 1e-10)])
     def test_unmeetable_tol_fails_fast(self, monkeypatch, a, tol, max_estimate):
         # panels at their rounding floor are final, so a tol below what the
         # panels can certify fails long before the 4000-panel budget, and
@@ -198,6 +209,16 @@ class TestRouteAgreement:
         r = zprime0_rational(RationalOrder(p, q))
         i = zprime0_integral(p / q, 1e-10)
         assert abs(r - i) <= 1e-8, (p, q, r - i)
+
+    @pytest.mark.parametrize("p, q", [(1, 10000), (1, 99999), (10000, 1), (99999, 1)])
+    def test_rational_vs_integral_far_from_one(self, p, q):
+        # zprime0_integral is within 2 tol max(1, a + 1/a)
+        a = p / q
+        r = zprime0_rational(RationalOrder(p, q))
+        for tol in (1e-10, 1e-12):
+            i = zprime0_integral(a, tol)
+            assert abs(r - i) <= 2.0 * tol * max(1.0, a + 1.0 / a), (tol, r - i)
+            assert abs(r - i) <= 1e-13 * abs(r), (tol, r - i)
 
     def test_dispatch(self):
         assert zprime0(RationalOrder(3, 2)) == zprime0_rational(RationalOrder(3, 2))

@@ -193,7 +193,12 @@ class TestValidationAndExitCodes:
         assert assert_one_json_error(res, 2, "usage")["parameter"] == "--cross-check"
 
     def test_taylor_check_takes_no_step(self):
-        assert_one_json_error(invoke(["taylor-check", "--h", "1e-3"]), 2, "usage")
+        res = invoke(["taylor-check", "--h", "1e-3"])
+        assert assert_one_json_error(res, 2, "usage")["parameter"] == "--h"
+
+    def test_unknown_option_is_the_parameter(self):
+        res = invoke(["cbeta", "--beta", "0.5", "--bogus", "1"])
+        assert assert_one_json_error(res, 2, "usage")["parameter"] == "--bogus"
 
     def test_validation_happens_before_math(self):
         res = invoke(["cbeta", "--beta", "-1.0"])
@@ -328,12 +333,13 @@ class TestExitCodeTable:
 
 class TestBarnesIntegralLimits:
     """Inputs the J(a) quadrature cannot serve end in a convergence error
-    (exit 4) that names the a or the tol the user gave."""
+    (exit 4) that names the a or the tol the user gave; orders near the
+    ends that it can serve return values."""
 
     @pytest.mark.parametrize(
         "args, named",
         [
-            (["--a", "1e-14"], "J(1e-14)"),
+            (["--a", "1e-300"], "J(1e-300)"),
             (["--a", "1e-8", "--tol", "1e-300"], "tol=1e-300"),
             (["--a", "1e-8", "--tol", "5e-324"], "tol=5e-324"),
         ],
@@ -343,6 +349,15 @@ class TestBarnesIntegralLimits:
         res = invoke(["barnes-zprime0", *args])
         err = assert_one_json_error(res, 4, "convergence")
         assert named in err["message"]
+
+    def test_disk_near_the_angle_zero_end(self):
+        # the Barnes term, about 5e3 here, is held to tol (a + 1/a) like any other
+        res = invoke(["det", "disk", "--beta", "-0.9999", "--k", "0", "--breakdown"])
+        assert res.exit_code == 0
+        out = json.loads(res.output)
+        a, tol = -0.9999 + 1.0, out["meta"]["tol"]
+        want = -2.0 * conedet.zprime0_rational(conedet.RationalOrder(1, 10000))
+        assert abs(out["payload"]["breakdown"]["barnes"] - want) <= 4.0 * tol * (a + 1.0 / a)
 
     @pytest.mark.parametrize("args", [
         ["cbeta", "--beta", "1.7e308"],

@@ -27,6 +27,7 @@ from conedet import (
     integrate_adaptive,
     log_gamma,
     logdet_flat_disk,
+    logdet_hyperbolic_sphere,
     logdet_pullback,
     logdet_spindle,
     logdet_spindle_area4pi,
@@ -131,6 +132,10 @@ OUT_OF_RANGE = {
                                               ComparisonData(bulk_phi=1e308)),
     "spindle_asymptotic(1, mu=1e200, 'beta_to_infinity')":
         lambda: spindle_asymptotic(1, 1e200, "beta_to_infinity"),
+    "logdet_hyperbolic_sphere(phi_consts=(1e308, -1e308, 1e308))":
+        lambda: logdet_hyperbolic_sphere(
+            HyperbolicSummary((-0.8, -0.7, -0.9), (1e308, -1e308, 1e308), 1e308)
+        ),
 }
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conedet import kernels
-from conedet.barnes import _bracket_coefficients
+from conedet.barnes import _series_coefficients
 
 
 def _density_oracle(x, y, px, py, orders):
@@ -42,13 +42,13 @@ class TestReferenceKernels:
         assert np.isinf(got[0])
 
     def test_j_bracket_large_x_finite(self):
-        x0, coeffs = _bracket_coefficients(0.001)
+        x0, coeffs = _series_coefficients(0.001, 0)
         vals = kernels.j_bracket(np.array([500.0, 1000.0]), 0.001, x0, coeffs)
         assert np.all(np.isfinite(vals))
 
     def test_j_bracket_continuous_at_crossover(self):
         for a in (0.05, 1.0, 20.0):
-            x0, coeffs = _bracket_coefficients(a)
+            x0, coeffs = _series_coefficients(a, 0)
             left = kernels.j_bracket(np.array([x0 * (1 - 1e-9)]), a, x0, coeffs)[0]
             right = kernels.j_bracket(np.array([x0 * (1 + 1e-9)]), a, x0, coeffs)[0]
             assert left == pytest.approx(right, rel=1e-7)

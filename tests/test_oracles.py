@@ -3,8 +3,9 @@
 import mpmath
 import pytest
 
-from conedet import ConvergenceError
+from conedet import ConvergenceError, barnes_J, zprime0_integral
 from conedet.barnes import _barnes_J_derivative
+from conftest import j_mpmath, zprime0_mpmath
 
 
 def j_bracket_mpmath(a, bracket):
@@ -39,6 +40,33 @@ def j_second_mpmath(a):
     return j_bracket_mpmath(a, bracket)
 
 
+def j_third_mpmath(a):
+    """J'''(a): the bracket
+    (csch(u)^2 (2u^2 coth(u)^2 + u^2 csch(u)^2 - 6u coth(u) + 3) + 1)/(2a^4),
+    u = x/(2a), the third a-derivative of the J(a) bracket."""
+
+    def bracket(x, b):
+        u = x / (2 * b)
+        s, c = mpmath.csch(u) ** 2, mpmath.coth(u)
+        return (s * (2 * u * u * c * c + u * u * s - 6 * u * c + 3) + 1) / (2 * b**4)
+
+    return j_bracket_mpmath(a, bracket)
+
+
+class TestZPrimeFarFromOne:
+    @pytest.mark.parametrize("a", [1e-14, 1e-8, 1e-4, 1e4, 1e8, 1e12])
+    def test_matches_the_series(self, a):
+        # the J route serves a from 1e-14 to 1e12 with tol scaled by a + 1/a
+        want = float(zprime0_mpmath(a))
+        assert abs(zprime0_integral(a) - want) <= 1e-13 * abs(want)
+
+    @pytest.mark.parametrize("tol", [1e-13, 1e-14])
+    def test_error_within_the_scaled_tol(self, tol):
+        # an a whose K15 estimate under-reported the error of an absolute tol
+        a = 58.434141337351754
+        assert abs(barnes_J(a, tol) - float(j_mpmath(a))) <= tol * (a + 1 / a)
+
+
 class TestJPrime:
     @pytest.mark.parametrize("a", [0.3, 0.8, 1.7, 4.0])
     def test_matches_mpmath(self, a):
@@ -70,3 +98,10 @@ class TestJSecond:
     def test_errors_name_the_derivative(self, n, name):
         with pytest.raises(ConvergenceError, match=rf"^{name}\(1e-300\) bracket series overflows"):
             _barnes_J_derivative(1e-300, n)
+
+
+class TestJThird:
+    @pytest.mark.parametrize("a", [0.3, 0.8, 1.7, 4.0])
+    def test_matches_mpmath(self, a):
+        want = float(j_third_mpmath(a))
+        assert abs(_barnes_J_derivative(a, 3, 1e-13) - want) <= 1e-13 * max(1.0, abs(want))
