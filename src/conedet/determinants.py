@@ -130,24 +130,14 @@ def logdet_spindle(cfg: SpindleConfig, tol: float = 1e-12) -> LogDet:
 
 
 def logdet_spindle_area4pi(beta, mu: float = 0.0, tol: float = 1e-12) -> LogDet:
-    """Fixed-area-4pi spindle determinant (Gauss-Bonnet pins K = beta + 1):
+    """Fixed-area-4pi spindle determinant: :func:`logdet_spindle` at the
+    curvature K = beta + 1 that Gauss-Bonnet pins, with its five parts,
 
         -(1/6)(a - 1/a) log(1 + mu^2/a)
         - (1 + (1/6)(a + 1/a)) log a - 4 zeta'_B(0; a,1,1) + a/2.
-
-    Same formula as :func:`logdet_spindle` after the substitution
-    K = beta + 1; assembled independently as a cross-check.
     """
     order = ConeOrder.of(beta)
-    a = order.beta + 1.0
-    SpindleConfig(beta=order, mu=mu, curvature=a)  # the family's mu rule
-    parts = {
-        "angle_area": _angle_area(a, mu, a),
-        "cone_scale": -(1.0 + (a + 1.0 / a) / 6.0) * log(a),
-        "barnes": -4.0 * zprime0(order.barnes_argument(), tol),
-        "linear": 0.5 * a,
-    }
-    return LogDet.from_parts(parts)
+    return logdet_spindle(SpindleConfig(beta=order, mu=mu, curvature=order.beta + 1.0), tol)
 
 
 def spindle_asymptotic(beta: float, mu: float = 0.0, regime: str = "beta_to_minus1") -> float:
@@ -438,6 +428,22 @@ def _singular_bracket(sings) -> float:
     return fsum(b * (u / (b + 1.0) - v) for b, u, v in sings) / 6.0
 
 
+def _comparison_value(new: ComparisonData, bulk_ref: float, ref_sings, tol: float) -> float:
+    """The comparison terms of m_new = e^(2 phi) m_ref, summed: the bulk
+    integrals, the boundary integrals of ``new``, the singular brackets and
+    -C(b_j) of the new orders, +C(a_j) of the reference orders."""
+    terms = [-(new.bulk_phi + bulk_ref) / (12.0 * pi)]
+    if new.has_boundary:
+        terms.append(-new.boundary_quad / (12.0 * pi))
+        terms.append(-new.boundary_geo / (6.0 * pi))
+        terms.append(-new.boundary_normal / (4.0 * pi))
+    terms.append(_singular_bracket(new.singularities))
+    terms.append(-_singular_bracket(ref_sings))
+    terms.extend(-c_beta(b, tol=tol) for b, _, _ in new.singularities)
+    terms.extend(c_beta(a, tol=tol) for a, _, _ in ref_sings)
+    return finite_fsum(terms, "comparison value")
+
+
 def polyakov_compare(data: ComparisonData, tol: float = 1e-10) -> float:
     """Conformal-comparison value for m_new = e^(2 phi) m_ref with m_ref smooth.
 
@@ -446,14 +452,7 @@ def polyakov_compare(data: ComparisonData, tol: float = 1e-10) -> float:
     With boundary the three boundary integrals enter and the result is
     log(det_new/det_ref) without area normalization.
     """
-    terms = [-(data.bulk_phi + data.bulk_0) / (12.0 * pi)]
-    if data.has_boundary:
-        terms.append(-data.boundary_quad / (12.0 * pi))
-        terms.append(-data.boundary_geo / (6.0 * pi))
-        terms.append(-data.boundary_normal / (4.0 * pi))
-    terms.append(_singular_bracket(data.singularities))
-    terms.extend(-c_beta(b, tol=tol) for b, _, _ in data.singularities)
-    return finite_fsum(terms, "comparison value")
+    return _comparison_value(data, data.bulk_0, (), tol)
 
 
 def polyakov_compare_two_singular(
@@ -474,14 +473,4 @@ def polyakov_compare_two_singular(
         raise ConfigurationError("singularity lists must be aligned (same length)")
     if data_new.has_boundary != data_ref.has_boundary:
         raise ConfigurationError("boundary flags must agree")
-    terms = [-(data_new.bulk_phi + data_ref.bulk_phi) / (12.0 * pi)]
-    if data_new.has_boundary:
-        terms.append(-data_new.boundary_quad / (12.0 * pi))
-        terms.append(-data_new.boundary_geo / (6.0 * pi))
-        terms.append(-data_new.boundary_normal / (4.0 * pi))
-    terms.append(_singular_bracket(data_new.singularities))
-    terms.append(-_singular_bracket(data_ref.singularities))
-    for (b, _, _), (a, _, _) in zip(data_new.singularities, data_ref.singularities):
-        terms.append(-c_beta(b, tol=tol))
-        terms.append(c_beta(a, tol=tol))
-    return finite_fsum(terms, "comparison value")
+    return _comparison_value(data_new, data_ref.bulk_phi, data_ref.singularities, tol)

@@ -126,8 +126,9 @@ def scan_curve(target: str, grid: ScanGrid) -> ScanResult:
 
 
 def _objective(beta: float) -> float:
-    """L'(beta), the exact derivative of L(beta) = logdet_spindle_area4pi(beta, 0).total
-    = (a + 1/a)(log a)/6 - (a + 1/a) gamma/3 - a/3 + log(2 pi) - 4 J(a), a = beta + 1:
+    """L'(beta), the exact derivative of the fixed-area log-determinant at mu = 0,
+    L(beta) = logdet_spindle at curvature K = a, a = beta + 1,
+    = (a + 1/a)(log a)/6 - (a + 1/a) gamma/3 - a/3 + log(2 pi) - 4 J(a):
         L' = (1 - a^-2)(log a - 1 - 2 gamma)/6 - 4 J'(a), exactly 0.0 at beta = 0.
     """
     a = float(beta) + 1.0

@@ -80,14 +80,19 @@ def sawtooth(x) -> Fraction:
 def dedekind_sum(q: int, p: int) -> Fraction:
     """Dedekind sum S(q, p) = sum_{j=1..p} ((j/p)) ((j q/p)), exact.
 
-    Requires positive ints (not bools) with gcd(p, q) = 1; computed
-    entirely in rational arithmetic.
+    Requires positive ints (not bools) with gcd(p, q) = 1.  Computed by
+    reciprocity, s(h, k) + s(k, h) = (h/k + k/h + 1/(hk))/12 - 1/4 with
+    s(h, k) = s(h mod k, k), down Euclid's algorithm to s(0, 1) = 0, in
+    rational arithmetic: O(log p) steps.
     """
     if not _positive_ints(q, p):
         raise DomainError(f"dedekind_sum requires positive integers, got q={q}, p={p}")
     if gcd(p, q) != 1:
         raise DomainError(f"dedekind_sum requires gcd(p, q) = 1, got q={q}, p={p}")
-    total = Fraction(0)
-    for j in range(1, p + 1):
-        total += sawtooth(Fraction(j, p)) * sawtooth(Fraction(j * q, p))
+    total, sign = Fraction(0), 1
+    h, k = q % p, p
+    while h:
+        total += sign * (Fraction(h * h + k * k + 1, 12 * h * k) - Fraction(1, 4))
+        sign = -sign
+        h, k = k % h, h
     return total

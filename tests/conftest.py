@@ -52,6 +52,35 @@ def zprime_a0_ir(a, tol=1e-12):
     )
 
 
+def logdet_spindle_area4pi_ref(beta, mu=0.0, tol=1e-12):
+    """The fixed-area-4pi spindle log-determinant by its own four-part float
+    assembly (K = beta + 1 substituted by hand),
+        -(1/6)(a - 1/a) log(1 + mu^2/a) - (1 + (1/6)(a + 1/a)) log a
+        - 4 zeta'_B(0; a,1,1) + a/2,
+    apart from ``logdet_spindle`` on the same zeta'_B(0; a, 1, 1)."""
+    from conedet import ConeOrder, zprime0
+
+    order = ConeOrder.of(beta)
+    a = order.beta + 1.0
+    return math.fsum(
+        [
+            -(a - 1.0 / a) / 6.0 * math.log(1.0 + mu**2 / a),
+            -(1.0 + (a + 1.0 / a) / 6.0) * math.log(a),
+            -4.0 * zprime0(order.barnes_argument(), tol),
+            0.5 * a,
+        ]
+    )
+
+
+def dedekind_sum_definition(q, p):
+    """S(q, p) = sum_{j=1..p} ((j/p)) ((j q/p)) summed term by term, exact:
+    for 0 < j < p, ((j/p)) = (2j - p)/(2p) and ((j q/p)) = (2 (j q mod p) - p)/(2p),
+    and the j = p term is 0."""
+    from fractions import Fraction
+
+    return Fraction(sum((2 * j - p) * (2 * (j * q % p) - p) for j in range(1, p)), 4 * p * p)
+
+
 def zprime0_mpmath(a, terms=30):
     """zeta'_B(0; a, 1, 1) at 40 digits, for a <= 0.02 or a >= 50, as an mpf.
 

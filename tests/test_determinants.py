@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ from conedet import (
     spindle_distance,
     zeta0_surface,
 )
-from conftest import random_flat_config
+from conftest import logdet_spindle_area4pi_ref, random_flat_config
 
 LOG2 = math.log(2)
 
@@ -106,15 +107,20 @@ class TestSpindle:
 
     def test_fixed_area_same_assembly(self):
         for beta, mu in ((2, 3.0), (1, 0.0), (5, 0.25)):
-            a = logdet_spindle_area4pi(beta, mu)
-            b = logdet_spindle(SpindleConfig(beta=beta, mu=mu, curvature=beta + 1.0))
-            assert a.total == pytest.approx(b.total, abs=1e-13)
+            got = logdet_spindle_area4pi(beta, mu).total
+            assert got == pytest.approx(logdet_spindle_area4pi_ref(beta, mu), abs=1e-13)
 
     def test_fixed_area_same_assembly_float_orders(self):
         for beta in (0.3, -0.4, 2.7):
-            a = logdet_spindle_area4pi(beta, 0.0)
-            b = logdet_spindle(SpindleConfig(beta=beta, mu=0.0, curvature=beta + 1.0))
-            assert a.total == pytest.approx(b.total, abs=1e-13)
+            got = logdet_spindle_area4pi(beta, 0.0).total
+            assert got == pytest.approx(logdet_spindle_area4pi_ref(beta, 0.0), abs=1e-13)
+
+    @pytest.mark.parametrize("beta,mu", [(2, 1.0), (5, 3.0), (0.3, 0.0), (-0.4, 0.0), (7.46, 0.0)])
+    def test_fixed_area_is_spindle_at_pinned_curvature(self, beta, mu):
+        got = logdet_spindle_area4pi(beta, mu)
+        want = logdet_spindle(SpindleConfig(beta, mu, curvature=beta + 1.0))
+        assert got.total == want.total
+        assert got.parts == want.parts
 
     def test_fixed_area_round_sphere(self):
         assert logdet_spindle_area4pi(0, 0.0).total == pytest.approx(
@@ -123,8 +129,7 @@ class TestSpindle:
 
     def test_fixed_area_order_one(self):
         got = logdet_spindle_area4pi(1, 0.0).total
-        expected = logdet_spindle(SpindleConfig(beta=1, mu=0.0, curvature=2.0)).total
-        assert got == pytest.approx(expected, abs=1e-13)
+        assert got == pytest.approx(logdet_spindle_area4pi_ref(1, 0.0), abs=1e-13)
 
     def test_mu_monotone_decrease(self):
         vals = [logdet_spindle_area4pi(1, mu).total for mu in (0.0, 0.5, 1.0, 2.0, 4.0)]
@@ -559,16 +564,27 @@ class TestPolyakovTwoSingular:
         assert polyakov_compare_two_singular(data, data) == pytest.approx(0.0, abs=1e-15)
 
     def test_reduces_to_single_comparison(self):
-        beta, mu = 1, 0.7
-        data = spindle_comparison_data(beta, mu)
-        ref = ComparisonData(
-            bulk_phi=data.bulk_0,
-            singularities=[(0.0, v, u) for _, u, v in data.singularities],
+        # a regular reference point carries order 0 with the slots swapped;
+        # the boundary integrals ride on the new metric's data
+        with_boundary = ComparisonData(
+            bulk_phi=0.8,
+            bulk_0=-0.3,
+            boundary_quad=1.3,
+            boundary_geo=-0.6,
+            boundary_normal=0.9,
+            singularities=[(0.5, 0.3, -0.2), (-0.4, -0.1, 0.6)],
+            has_boundary=True,
         )
-        new = ComparisonData(bulk_phi=data.bulk_phi, singularities=data.singularities)
-        assert polyakov_compare_two_singular(new, ref, tol=1e-12) == pytest.approx(
-            polyakov_compare(data, tol=1e-12), abs=1e-12
-        )
+        for data in (spindle_comparison_data(1, 0.7), with_boundary):
+            ref = ComparisonData(
+                bulk_phi=data.bulk_0,
+                singularities=[(0.0, v, u) for _, u, v in data.singularities],
+                has_boundary=data.has_boundary,
+            )
+            new = replace(data, bulk_0=0.0)
+            assert polyakov_compare_two_singular(new, ref, tol=1e-12) == pytest.approx(
+                polyakov_compare(data, tol=1e-12), abs=1e-12
+            )
 
     def test_antisymmetry(self):
         new = ComparisonData(

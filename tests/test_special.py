@@ -13,7 +13,7 @@ from conedet import (
     log_gamma,
     sawtooth,
 )
-from conftest import coprime_pairs
+from conftest import coprime_pairs, dedekind_sum_definition
 
 
 class TestLogGamma:
@@ -106,6 +106,16 @@ class TestDedekindSum:
     def test_q1_p3(self):
         # direct summation of the defining formula: ((1/3))^2 + ((2/3))^2
         assert dedekind_sum(1, 3) == Fraction(1, 18)
+
+    def test_matches_definition(self):
+        # reciprocity against the defining sum, at every coprime pair up to 60
+        for p, q in coprime_pairs(60):
+            assert dedekind_sum(q, p) == dedekind_sum_definition(q, p), (p, q)
+
+    def test_far_denominator(self):
+        # s(1, k) = (k - 1)(k - 2)/(12 k); the defining sum would take 10^12 terms
+        k = 10**12
+        assert dedekind_sum(1, k) == Fraction((k - 1) * (k - 2), 12 * k)
 
     def test_rejects_non_coprime(self):
         with pytest.raises(DomainError):
